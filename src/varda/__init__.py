@@ -53,7 +53,6 @@ from .mesh import (
     build_spatial_mesh,
     build_time_grid,
     build_uniform_time_grid,
-    interpolate_field,
     read_time_grid,
     write_time_grid,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "example2_inflow",
     "example3",
     "gauss_rule",
-    "interpolate_field",
     "kkt_oracle",
     "mark",
     "mse_initial",

@@ -141,48 +141,31 @@ def compute_indicators(
     features they are supposed to detect, and a single rule per interval
     can miss a spike entirely and misrank the intervals.
     """
-    gp, gw = fem1d.gauss_rule(quad_order)
-    h = smesh.h
-    centers = 0.5 * (smesh.nodes[:-1] + smesh.nodes[1:])
-    xg = centers[:, None] + 0.5 * h * gp[None, :]
-    w_x = 0.5 * h * gw
+    quad = fem1d.spatial_quadrature(smesh, quad_order)
+    xg, h = quad.x, smesh.h
+    t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
 
     if sol is not None:
         delta = 1e-6 * (smesh.x_right - smesh.x_left)
-        a_hi = np.broadcast_to(np.asarray(problem.a(xg + delta), float), xg.shape)
-        a_lo = np.broadcast_to(np.asarray(problem.a(xg - delta), float), xg.shape)
+        a_hi = fem1d._coefficient_at(problem.a, xg + delta)
+        a_lo = fem1d._coefficient_at(problem.a, xg - delta)
         da = (a_hi - a_lo) / (2.0 * delta)
-        a0_vals = np.broadcast_to(np.asarray(problem.a0(xg), float), xg.shape)
+        a0_vals = fem1d._coefficient_at(problem.a0, xg)
         q_vals = sol.q.values
-        phi_l = (1.0 - gp) / 2.0
-        phi_r = (1.0 + gp) / 2.0
 
+    # One interval at a time, so the sampled data never scale with N.
     eta_sq = np.zeros(tgrid.N)
     for i in range(tgrid.N):
-        t0 = tgrid.taus[i]
+        g = problem.data_residual(t[i], xg)
+        if sol is not None:
+            lam_i = lam[i][:, None]
+            q_slice = (1.0 - lam_i) * q_vals[i] + lam_i * q_vals[i + 1]
+            q_at = q_slice[:, :-1, None] * quad.phi[0] + q_slice[:, 1:, None] * quad.phi[1]
+            q_x = (np.diff(q_slice, axis=1) / h)[:, :, None]
+            # p_tt is zero on every element; A q contributes the rest.
+            g += da * q_x - a0_vals * q_at
         dt = tgrid.deltas[i]
-        acc = 0.0
-        panel_dt = dt / _TIME_PANELS
-        for k in range(_TIME_PANELS):
-            panel_mid = t0 + (k + 0.5) * panel_dt
-            for gt, wt in zip(gp, gw):
-                t = panel_mid + 0.5 * panel_dt * gt
-                w_t = 0.5 * panel_dt * wt
-                g = (
-                    np.asarray(problem.f(t, xg), dtype=float)
-                    - np.asarray(problem.y_d_t(t, xg), dtype=float)
-                    - np.asarray(problem.Ay_d(t, xg), dtype=float)
-                )
-                g = np.broadcast_to(g, xg.shape).copy()
-                if sol is not None:
-                    lam = (t - t0) / dt
-                    q_slice = (1.0 - lam) * q_vals[i] + lam * q_vals[i + 1]
-                    q_at = q_slice[:-1, None] * phi_l[None, :] + q_slice[1:, None] * phi_r[None, :]
-                    q_x = ((q_slice[1:] - q_slice[:-1]) / h)[:, None]
-                    # p_tt is zero on every element; A q contributes the rest.
-                    g += da * q_x - a0_vals * q_at
-                acc += w_t * float(((g * g) @ w_x).sum())
-        eta_sq[i] = dt * dt * acc
+        eta_sq[i] = dt * dt * (w_t[i] @ ((g * g) @ quad.w).sum(axis=1))
     return ErrorIndicators(per_interval=eta_sq, total=float(np.sum(eta_sq)))
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import elliptic, forward
+from . import elliptic, fem1d, forward
 from .mesh import SpaceTimeField, SpatialMesh, TimeGrid
 
 __all__ = [
@@ -27,45 +27,90 @@ __all__ = [
 
 _SPOT_CHECK_POINTS = 20
 _SPOT_CHECK_SEED = 74025431
+# Step of the finite difference in x that checks Ay_d, relative to the domain.
+_OPERATOR_STEP = 1e-4
 
 
-def _spot_check_time_derivative(spec: "ProblemSpec") -> None:
+def _check_broadcasting(spec: "ProblemSpec") -> None:
+    # Each row of a tensor-grid sample must equal a call at that scalar t.
+    t = np.linspace(0.0, spec.T, 3)
+    x = np.linspace(*spec.domain, 5)
+    for name in ("f", "y_d", "y_d_t", "Ay_d"):
+        fun = getattr(spec, name)
+        try:
+            grid = fem1d.sample(fun, t, x)
+            rows = [np.broadcast_to(np.asarray(fun(float(ti), x), float), x.shape) for ti in t]
+        except Exception as exc:
+            raise ValueError(f"{name} fails on a tensor grid of t and x: {exc}") from exc
+        if not np.max(np.abs(grid - rows)) <= 1e-12 * np.max(np.abs(rows)):
+            raise ValueError(f"{name} does not broadcast: its tensor-grid rows differ from scalar-t calls")
+
+
+def _check_time_derivative(spec: "ProblemSpec", t, x, step: float) -> None:
     # Guards against a y_d_t callback that does not differentiate y_d.
-    rng = np.random.default_rng(_SPOT_CHECK_SEED)
-    step = 1e-5 * spec.T
-    t = rng.uniform(2.0 * step, spec.T - 2.0 * step, size=_SPOT_CHECK_POINTS)
-    x_left, x_right = spec.domain
-    x = rng.uniform(x_left, x_right, size=_SPOT_CHECK_POINTS)
-
-    exact = np.array([float(spec.y_d_t(ti, xi)) for ti, xi in zip(t, x)])
-    stencil = np.array(
-        [
-            [float(spec.y_d(ti + k * step, xi)) for k in (-2, -1, 1, 2)]
-            for ti, xi in zip(t, x)
-        ]
-    )
-    fd = (stencil[:, 0] - 8.0 * stencil[:, 1] + 8.0 * stencil[:, 2] - stencil[:, 3]) / (
-        12.0 * step
-    )
+    exact = np.broadcast_to(np.asarray(spec.y_d_t(t, x), float), t.shape)
+    k = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
+    y = np.broadcast_to(np.asarray(spec.y_d(t + k * step, x), float), (4,) + t.shape)
+    fd = (y[0] - 8.0 * y[1] + 8.0 * y[2] - y[3]) / (12.0 * step)
     scale = np.max(np.abs(exact)) if np.any(exact) else 0.0
     denom = np.maximum(np.abs(exact), 1e-6 * (1.0 + scale))
     worst = np.max(np.abs(fd - exact) / denom)
-    if worst > 1e-4:
+    if not worst <= 1e-4:
         raise ValueError(
             f"y_d_t disagrees with a finite difference of y_d "
             f"(relative mismatch {worst:.2e} at sampled points)"
         )
 
 
+def _check_operator(spec: "ProblemSpec", t, x, h: float) -> None:
+    # Guards against an Ay_d callback that does not apply -(a v')' + a0 v to
+    # y_d: flux-form central difference in x with a at the half steps.
+    exact = np.broadcast_to(np.asarray(spec.Ay_d(t, x), float), t.shape)
+    k = np.array([-1.0, 0.0, 1.0])[:, None]
+    y = np.broadcast_to(np.asarray(spec.y_d(t, x + k * h), float), (3,) + t.shape)
+    a_left = fem1d._coefficient_at(spec.a, x - 0.5 * h)
+    a_right = fem1d._coefficient_at(spec.a, x + 0.5 * h)
+    flux_jump = a_right * (y[2] - y[1]) - a_left * (y[1] - y[0])
+    fd = -flux_jump / (h * h) + fem1d._coefficient_at(spec.a0, x) * y[1]
+    width = spec.domain[1] - spec.domain[0]
+    # The operator's own size, a |y_d| / width^2, bounds the rounding error.
+    scale = np.max(np.abs(exact)) + np.max(a_left) * np.max(np.abs(y)) / width**2
+    worst = np.max(np.abs(fd - exact))
+    if not worst <= 1e-4 * scale:
+        raise ValueError(
+            f"Ay_d disagrees with a finite difference of -(a y_d')' + a0 y_d "
+            f"(mismatch {worst:.2e} against a scale of {scale:.2e} at sampled points)"
+        )
+
+
+def _check_callbacks(spec: "ProblemSpec") -> None:
+    _check_broadcasting(spec)
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
+    step = 1e-5 * spec.T
+    t = rng.uniform(2.0 * step, spec.T - 2.0 * step, size=_SPOT_CHECK_POINTS)
+    x_left, x_right = spec.domain
+    h = _OPERATOR_STEP * (x_right - x_left)
+    x = rng.uniform(x_left + h, x_right - h, size=_SPOT_CHECK_POINTS)
+    _check_time_derivative(spec, t, x, step)
+    _check_operator(spec, t, x, h)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Coefficients, data callbacks, and weights of one assimilation problem.
 
-    Callbacks take (t, x) with scalar t and scalar-or-array x and must
-    broadcast over x.  y_d_t is the time derivative of y_d and Ay_d is the
-    spatial operator applied to y_d; both are spot-checked at construction,
-    the former against a finite difference, so a mismatched callback fails
-    fast instead of poisoning every downstream solve.
+    a, a0 and y_b take x; f, y_d, y_d_t and Ay_d take (t, x), where t and x
+    are arrays that broadcast against each other.  fem1d.sample calls a
+    (t, x) callback once for a whole tensor grid, so its values must be
+    elementwise in (t, x): no reduction over an axis, no math.exp(t).  A
+    scalar or x-shaped result is broadcast; values must be finite.
+
+    y_d_t is the time derivative of y_d and Ay_d is -(a y_d')' + a0 y_d.
+    Construction raises ValueError unless alpha, T and the domain are valid,
+    every (t, x) callback sampled on a small tensor grid matches calls at
+    scalar t row by row, and, at seeded random points, y_d_t matches a
+    finite difference of y_d in t and Ay_d a flux-form one in x.  So a
+    mismatched callback fails fast instead of poisoning every solve.
     """
 
     a: Callable
@@ -90,7 +135,12 @@ class ProblemSpec:
         for name in ("a", "a0", "f", "y_d", "y_d_t", "Ay_d", "y_b"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"{name} must be callable")
-        _spot_check_time_derivative(self)
+        _check_callbacks(self)
+
+    def data_residual(self, t, x) -> np.ndarray:
+        """f - dt y_d - A y_d on the tensor grid t x x (see fem1d.sample)."""
+        sample = fem1d.sample
+        return sample(self.f, t, x) - sample(self.y_d_t, t, x) - sample(self.Ay_d, t, x)
 
 
 @dataclass(frozen=True)
@@ -130,7 +180,7 @@ def assimilate(
     p0 = sol.p.values[0]
     u = np.zeros(smesh.d + 1)
     inner = smesh.interior
-    u[inner] = problem.y_b(smesh.nodes[inner]) - p0[inner] / problem.alpha
+    u[inner] = fem1d._coefficient_at(problem.y_b, smesh.nodes[inner]) - p0[inner] / problem.alpha
 
     cfg = forward.ThetaSchemeConfig(theta=theta, tgrid=tgrid)
     y = forward.solve_state(problem, u, cfg, smesh, quad_order=quad_order)
@@ -165,13 +215,8 @@ def rmse(y: SpaceTimeField, y_ref: Callable) -> float:
     offset c comes back as exactly |c|.  The reference is evaluated
     analytically at the nodes rather than pre-sampled.
     """
-    taus = y.tgrid.taus
-    nodes = y.smesh.nodes
-    total = 0.0
-    for i, t in enumerate(taus):
-        diff = np.asarray(y_ref(t, nodes), dtype=float) - y.values[i]
-        total += float(diff @ diff)
-    return float(np.sqrt(total / y.values.size))
+    diff = fem1d.sample(y_ref, y.tgrid.taus, y.smesh.nodes) - y.values
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def mse_initial(p0, p0_ref) -> float:

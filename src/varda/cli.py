@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adaptivity, assimilation, elliptic, forward, mesh, problems
+from . import adaptivity, assimilation, elliptic, fem1d, forward, mesh, problems
 
 __all__ = [
     "RunConfig",
@@ -110,7 +110,6 @@ class RunConfig:
     m: float | None = None
     d: int = 40
     N: int = 40
-    T: float = 1.0
     strategy: str = "MAX"
     adapt_theta: float = 0.5
     n_initial: int = 5
@@ -120,7 +119,6 @@ class RunConfig:
     quad_order: int = 3
     theta_scheme: float = 0.5
     output_dir: str = "out"
-    seed: int = 0
     levels: tuple[int, ...] = (10, 20, 40)
 
 
@@ -146,7 +144,6 @@ _KEYS = {
     "problem.m": ("m", float),
     "grid.d": ("d", int),
     "grid.N": ("N", int),
-    "grid.T": ("T", float),
     "adapt.strategy": ("strategy", str),
     "adapt.theta": ("adapt_theta", float),
     "adapt.n_initial": ("n_initial", int),
@@ -156,7 +153,6 @@ _KEYS = {
     "quad_order": ("quad_order", int),
     "theta_scheme": ("theta_scheme", float),
     "output_dir": ("output_dir", str),
-    "seed": ("seed", int),
     "oracle.levels": ("levels", _parse_levels),
 }
 
@@ -204,8 +200,6 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"grid.d must be at least 2, got {cfg.d}")
     if cfg.N < 1:
         raise CliError(f"grid.N must be at least 1, got {cfg.N}")
-    if not cfg.T > 0.0:
-        raise CliError(f"grid.T must be positive, got {cfg.T}")
     if cfg.strategy not in ("MAX", "DOERFLER"):
         raise CliError(f"adapt.strategy must be MAX or DOERFLER, got {cfg.strategy!r}")
     if not 0.0 < cfg.adapt_theta <= 1.0:
@@ -220,8 +214,6 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"quad_order must be 1, 2 or 3, got {cfg.quad_order}")
     if not 0.0 <= cfg.theta_scheme <= 1.0:
         raise CliError(f"theta_scheme must lie in [0, 1], got {cfg.theta_scheme}")
-    if cfg.seed < 0:
-        raise CliError(f"seed must be nonnegative, got {cfg.seed}")
     if not cfg.levels or any(n < 2 for n in cfg.levels):
         raise CliError(f"oracle.levels must be integers >= 2, got {cfg.levels}")
     allowed = _PROBLEM_PARAMS[cfg.name]
@@ -245,8 +237,6 @@ def resolve_problem(cfg: RunConfig):
             spec, exact_p = problems.build(cfg.name, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if abs(cfg.T - spec.T) > 0.0:
-        raise CliError(f"grid.T={cfg.T} but problem {cfg.name!r} is posed on T={spec.T}")
     return spec, exact_p
 
 
@@ -307,7 +297,7 @@ def _resolved_nu(cfg: RunConfig) -> float:
 
 def _baseline_state(spec, smesh: mesh.SpatialMesh, tgrid: mesh.TimeGrid, cfg: RunConfig):
     """March the model from the background guess without any assimilation."""
-    u0 = spec.y_b(smesh.nodes).astype(float)
+    u0 = fem1d._coefficient_at(spec.y_b, smesh.nodes).copy()
     u0[0] = 0.0
     u0[-1] = 0.0
     scheme = forward.ThetaSchemeConfig(theta=cfg.theta_scheme, tgrid=tgrid)
@@ -315,11 +305,8 @@ def _baseline_state(spec, smesh: mesh.SpatialMesh, tgrid: mesh.TimeGrid, cfg: Ru
 
 
 def _max_misfit(field_: mesh.SpaceTimeField, y_ref) -> float:
-    worst = 0.0
-    for i, t in enumerate(field_.tgrid.taus):
-        diff = np.abs(np.asarray(y_ref(t, field_.smesh.nodes), dtype=float) - field_.values[i])
-        worst = max(worst, float(diff.max()))
-    return worst
+    y_ref_nodal = fem1d.sample(y_ref, field_.tgrid.taus, field_.smesh.nodes)
+    return float(np.max(np.abs(y_ref_nodal - field_.values)))
 
 
 def cmd_assimilate(cfg: RunConfig) -> int:

@@ -27,7 +27,6 @@ right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "assemble",
     "solve_sparse",
     "residual_check",
-    "dump_system",
 ]
 
 
@@ -131,13 +129,8 @@ def build_dofmap(problem: "ProblemSpec", smesh: SpatialMesh, tgrid: TimeGrid) ->
     p_free = (p_rows[:, None] + inner[None, :]).ravel()
     q_free = (q_rows[:, None] + inner[None, :]).ravel()
     q_fixed = (q_rows[:, None] + np.array([0, smesh.d])[None, :]).ravel()
-    q_fixed_values = np.array(
-        [
-            -float(problem.y_d(t, x))
-            for t in tgrid.taus
-            for x in (smesh.x_left, smesh.x_right)
-        ]
-    )
+    trace = fem1d.sample(problem.y_d, tgrid.taus, np.array([smesh.x_left, smesh.x_right]))
+    q_fixed_values = -trace.ravel()
     return DofMap(
         tgrid=tgrid,
         smesh=smesh,
@@ -160,46 +153,18 @@ def _data_load(
     function.  Initial term: integral of (y_b - y_d(0)) against the t=0
     hats.  Tensor Gauss quadrature with quad_order points per direction.
     """
-    gp, gw = fem1d.gauss_rule(quad_order)
-    h = smesh.h
-    n_x = smesh.d + 1
-    centers = 0.5 * (smesh.nodes[:-1] + smesh.nodes[1:])
-    xg = centers[:, None] + 0.5 * h * gp[None, :]
-    phi_l = (1.0 - gp) / 2.0
-    phi_r = (1.0 + gp) / 2.0
-    w_x = 0.5 * h * gw
+    quad = fem1d.spatial_quadrature(smesh, quad_order)
+    t, w, lam = fem1d.time_quadrature(tgrid, quad_order)
+    nodal = quad.gather(problem.data_residual(t, quad.x))
 
-    def gather_nodal(values_at_gauss: np.ndarray) -> np.ndarray:
-        nodal = np.zeros(n_x)
-        nodal[:-1] += (values_at_gauss * (w_x * phi_l)[None, :]).sum(axis=1)
-        nodal[1:] += (values_at_gauss * (w_x * phi_r)[None, :]).sum(axis=1)
-        return nodal
+    # Interval i feeds the time hats of its nodes i and i + 1.
+    load = np.zeros((tgrid.N + 1, smesh.d + 1))
+    load[:-1] += np.einsum("ik,ikj->ij", w * (1.0 - lam), nodal)
+    load[1:] += np.einsum("ik,ikj->ij", w * lam, nodal)
 
-    load = np.zeros((tgrid.N + 1) * n_x)
-    for i in range(tgrid.N):
-        t0 = tgrid.taus[i]
-        dt = tgrid.deltas[i]
-        mid = t0 + 0.5 * dt
-        for gt, wt in zip(gp, gw):
-            t = mid + 0.5 * dt * gt
-            w_t = 0.5 * dt * wt
-            g = (
-                np.asarray(problem.f(t, xg), dtype=float)
-                - np.asarray(problem.y_d_t(t, xg), dtype=float)
-                - np.asarray(problem.Ay_d(t, xg), dtype=float)
-            )
-            g = np.broadcast_to(g, xg.shape)
-            nodal = gather_nodal(g)
-            lam = (t - t0) / dt
-            load[i * n_x : (i + 1) * n_x] += w_t * (1.0 - lam) * nodal
-            load[(i + 1) * n_x : (i + 2) * n_x] += w_t * lam * nodal
-
-    g0 = np.asarray(problem.y_b(xg), dtype=float) - np.asarray(
-        problem.y_d(0.0, xg), dtype=float
-    )
-    g0 = np.broadcast_to(g0, xg.shape)
-    load[:n_x] += gather_nodal(g0)
-    return load
+    g0 = fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x)
+    load[0] += quad.gather(g0)
+    return load.ravel()
 
 
 def assemble(
@@ -264,8 +229,9 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
     """Direct sparse solve with one step of iterative refinement.
 
     The contract is a relative residual of at most 1e-10 (absolute 1e-12
-    for a zero load); anything worse raises EllipticSolverError instead of
-    returning a silently inaccurate solution.
+    for a zero load); anything worse, or a residual that is not a number,
+    raises EllipticSolverError instead of returning a silently inaccurate
+    solution.
     """
     A, b = system.A, system.b
     try:
@@ -276,10 +242,10 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
         raise EllipticSolverError(f"sparse factorization failed: {exc}") from exc
 
     residual = _relative_residual(A, x, b)
-    zero_load = not np.any(b)
-    if (zero_load and residual > 1e-12) or (not zero_load and residual > 1e-10):
+    contract = 1e-10 if np.any(b) else 1e-12
+    if not residual <= contract:
         raise EllipticSolverError(
-            f"linear solve achieved residual {residual:.3e}, contract is 1e-10"
+            f"linear solve achieved residual {residual:.3e}, contract is {contract:g}"
         )
 
     p_vals, q_vals = system.dofmap.scatter(x)
@@ -299,15 +265,3 @@ def residual_check(system: AssembledSystem, sol: EllipticSolution) -> float:
     """
     x = system.dofmap.gather(sol.p.values, sol.q.values)
     return _relative_residual(system.A, x, system.b)
-
-
-def dump_system(system: AssembledSystem, matrix_path, rhs_path) -> None:
-    """Debug dump: matrix as 'row col value' triplets, rhs one value per line."""
-    coo = system.A.tocoo()
-    lines = [
-        f"{r} {c} {v:.17g}" for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]
-    Path(matrix_path).write_text("\n".join(lines) + "\n")
-    Path(rhs_path).write_text(
-        "\n".join(f"{v:.17g}" for v in system.b) + "\n"
-    )

@@ -4,6 +4,10 @@ Element matrices have closed forms for hat functions, so only the
 coefficient-weighted matrices need quadrature.  Coefficients are callables
 evaluated at Gauss points, which keeps constant-coefficient runs exact and
 avoids interpolating the coefficient onto the mesh first.
+
+Problem callbacks are evaluated only through two samplers: _coefficient_at
+for x-only callbacks and sample, which calls a (t, x) callback once for a
+whole tensor grid.
 """
 
 from __future__ import annotations
@@ -14,13 +18,17 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SpatialMesh
+from .mesh import SpatialMesh, TimeGrid
 
 __all__ = [
     "ElementMatrices",
     "SpatialOperatorMatrices",
     "element_matrices",
     "gauss_rule",
+    "sample",
+    "SpatialQuadrature",
+    "spatial_quadrature",
+    "time_quadrature",
     "assemble_spatial_matrices",
     "assemble_line_matrices",
 ]
@@ -79,10 +87,76 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return points.copy(), weights.copy()
 
 
+def _finite(fun: Callable, vals: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"callback {getattr(fun, '__qualname__', fun)} returned non-finite values")
+    return vals
+
+
 def _coefficient_at(fun: Callable, x: np.ndarray) -> np.ndarray:
     # Accepts scalar-valued or vectorized callables.
     vals = np.asarray(fun(x), dtype=float)
-    return np.broadcast_to(vals, x.shape)
+    return _finite(fun, np.broadcast_to(vals, x.shape))
+
+
+def sample(fun: Callable, t, x) -> np.ndarray:
+    """Values of a (t, x) callback on the tensor grid t x x, from one call.
+
+    The callback gets t reshaped to t.shape + (1,) * x.ndim and x with t.ndim
+    leading unit axes; its result, which may also be a scalar or x-shaped,
+    is broadcast to t.shape + x.shape.  Non-finite values raise ValueError.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    vals = fun(t.reshape(t.shape + (1,) * x.ndim), x.reshape((1,) * t.ndim + x.shape))
+    return _finite(fun, np.broadcast_to(np.asarray(vals, dtype=float), t.shape + x.shape))
+
+
+@dataclass(frozen=True)
+class SpatialQuadrature:
+    """Gauss points x, shape (d, q), on the cells of a uniform mesh.
+
+    gw is the reference rule's weights and w = h gw / 2 the physical ones;
+    phi, shape (2, q), holds a cell's left and right hat at the points.
+    """
+
+    gw: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    phi: np.ndarray
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Integrals of values (..., d, q) at x against each hat: (..., d + 1)."""
+        nodal = np.zeros(values.shape[:-2] + (values.shape[-2] + 1,))
+        nodal[..., :-1] += (values * (self.w * self.phi[0])).sum(axis=-1)
+        nodal[..., 1:] += (values * (self.w * self.phi[1])).sum(axis=-1)
+        return nodal
+
+
+def spatial_quadrature(smesh: SpatialMesh, quad_order: int) -> SpatialQuadrature:
+    """Lay out a Gauss rule of the given order on every cell of smesh."""
+    gp, gw = gauss_rule(quad_order)
+    centers = 0.5 * (smesh.nodes[:-1] + smesh.nodes[1:])
+    xg = centers[:, None] + 0.5 * smesh.h * gp[None, :]
+    phi = np.stack([(1.0 - gp) / 2.0, (1.0 + gp) / 2.0])
+    return SpatialQuadrature(gw, xg, 0.5 * smesh.h * gw, phi)
+
+
+def time_quadrature(tgrid: TimeGrid, quad_order: int, panels: int = 1):
+    """Composite Gauss rule over equal sub-panels of every time interval.
+
+    Returns the nodes t, their weights, and lam = (t - t0) / dt, their place
+    in the interval; each has shape (N, panels * q), one row per interval.
+    """
+    gp, gw = gauss_rule(quad_order)
+    t0 = tgrid.taus[:-1, None, None]
+    dt = tgrid.deltas[:, None, None]
+    panel_dt = dt / panels
+    panel_mid = t0 + (np.arange(panels)[None, :, None] + 0.5) * panel_dt
+    t = panel_mid + 0.5 * panel_dt * gp
+    w = np.broadcast_to(0.5 * panel_dt * gw, t.shape)
+    lam = (t - t0) / dt
+    return t.reshape(tgrid.N, -1), w.reshape(tgrid.N, -1), lam.reshape(tgrid.N, -1)
 
 
 def assemble_line_matrices(nodes) -> tuple[sp.csr_array, sp.csr_array]:
@@ -123,19 +197,15 @@ def assemble_spatial_matrices(
     that is the discrete counterpart of uniform ellipticity and is checked
     here rather than trusted.
     """
-    gp, gw = gauss_rule(quad_order)
+    quad = spatial_quadrature(smesh, quad_order)
+    gw, xg, phi = quad.gw, quad.x, quad.phi
     h = smesh.h
-    centers = 0.5 * (smesh.nodes[:-1] + smesh.nodes[1:])
-    xg = centers[:, None] + 0.5 * h * gp[None, :]
 
     a_vals = _coefficient_at(a, xg)
     if np.any(a_vals <= 0.0):
         bad = xg[a_vals <= 0.0].ravel()[0]
         raise ValueError(f"diffusion coefficient is not positive at x={bad}")
     a0_vals = _coefficient_at(a0, xg)
-
-    # Reference hat functions on [-1, 1].
-    phi = np.stack([(1.0 - gp) / 2.0, (1.0 + gp) / 2.0])
 
     ne = smesh.d
     left = np.arange(ne)

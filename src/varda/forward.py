@@ -80,13 +80,6 @@ class _InteriorOperator:
         return (self.M_full @ nodal)[1:-1]
 
 
-def _nodal_data(fun: Callable, taus: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    out = np.empty((taus.size, nodes.size))
-    for i, t in enumerate(taus):
-        out[i] = np.broadcast_to(np.asarray(fun(t, nodes), dtype=float), nodes.shape)
-    return out
-
-
 def solve_state(
     problem: "ProblemSpec",
     u0,
@@ -104,13 +97,15 @@ def solve_state(
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (smesh.d + 1,):
         raise ValueError(f"u0 has shape {u0.shape}, expected {(smesh.d + 1,)}")
-    if max(abs(u0[0]), abs(u0[-1])) > 1e-12:
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("u0 must be finite")
+    if not np.all(np.abs(u0[[0, -1]]) <= 1e-12):
         raise ValueError("u0 must vanish at the boundary nodes")
 
     op = _InteriorOperator(problem, smesh, quad_order)
     tgrid = cfg.tgrid
     theta = cfg.theta
-    f_nodal = _nodal_data(problem.f, tgrid.taus, smesh.nodes)
+    f_nodal = fem1d.sample(problem.f, tgrid.taus, smesh.nodes)
 
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
     values[0] = u0
@@ -142,7 +137,7 @@ def solve_adjoint_classic(
     op = _InteriorOperator(problem, smesh, quad_order)
     tgrid = cfg.tgrid
     theta = cfg.theta
-    misfit = y.values - _nodal_data(problem.y_d, tgrid.taus, smesh.nodes)
+    misfit = y.values - fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes)
 
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
     p = np.zeros(smesh.d - 1)
@@ -219,10 +214,8 @@ def kkt_oracle(
         slices = flat.reshape(tgrid.N + 1, n_x)
         return (w_t[:, None] * (slices @ M.T)).ravel()
 
-    y_d_flat = _nodal_data(problem.y_d, tgrid.taus, smesh.nodes).ravel()
-    y_b_nodal = np.broadcast_to(
-        np.asarray(problem.y_b(smesh.nodes), dtype=float), smesh.nodes.shape
-    )
+    y_d_flat = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes).ravel()
+    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
 
     WS = np.column_stack([apply_weight(S[:, k]) for k in range(S.shape[1])])
     M_dense = M.toarray()
@@ -252,9 +245,7 @@ def optimality_residual(
     u = np.asarray(u, dtype=float)
     y = solve_state(problem, u, cfg, smesh, quad_order=quad_order)
     p = solve_adjoint_classic(problem, y, cfg, quad_order=quad_order)
-    y_b_nodal = np.broadcast_to(
-        np.asarray(problem.y_b(smesh.nodes), dtype=float), smesh.nodes.shape
-    )
+    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
     gap = u - (y_b_nodal - p.values[0] / problem.alpha)
     gap[0] = 0.0
     gap[-1] = 0.0

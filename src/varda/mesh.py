@@ -23,7 +23,6 @@ __all__ = [
     "build_uniform_time_grid",
     "build_time_grid",
     "bisect_intervals",
-    "interpolate_field",
     "format_time_grid",
     "write_time_grid",
     "read_time_grid",
@@ -171,43 +170,6 @@ class SpaceTimeField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grids {expected}"
             )
-
-
-def _interp_weights(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Left cell index and barycentric weight for each destination node.
-    idx = np.searchsorted(src, dst, side="right") - 1
-    idx = np.clip(idx, 0, src.size - 2)
-    lam = (dst - src[idx]) / (src[idx + 1] - src[idx])
-    return idx, lam
-
-
-def interpolate_field(
-    src: SpaceTimeField, dst_tgrid: TimeGrid, dst_smesh: SpatialMesh
-) -> SpaceTimeField:
-    """Transfer a field to new grids by tensor-product linear interpolation.
-
-    Exact (up to rounding) whenever the destination nodes are a subset of the
-    source nodes, and exact for fields linear in t and x.  The destination
-    grids must span the same space-time rectangle as the source grids.
-    """
-    tol_t = 1e-12 * max(1.0, src.tgrid.T)
-    if abs(dst_tgrid.T - src.tgrid.T) > tol_t:
-        raise ValueError(
-            f"time horizons differ: {src.tgrid.T} vs {dst_tgrid.T}"
-        )
-    span = src.smesh.x_right - src.smesh.x_left
-    if (
-        abs(dst_smesh.x_left - src.smesh.x_left) > 1e-12 * span
-        or abs(dst_smesh.x_right - src.smesh.x_right) > 1e-12 * span
-    ):
-        raise ValueError("spatial domains differ")
-
-    it, lt = _interp_weights(src.tgrid.taus, dst_tgrid.taus)
-    ix, lx = _interp_weights(src.smesh.nodes, dst_smesh.nodes)
-    v = src.values
-    in_time = (1.0 - lt)[:, None] * v[it, :] + lt[:, None] * v[it + 1, :]
-    out = (1.0 - lx)[None, :] * in_time[:, ix] + lx[None, :] * in_time[:, ix + 1]
-    return SpaceTimeField(dst_tgrid, dst_smesh, out)
 
 
 def format_time_grid(grid: TimeGrid) -> str:

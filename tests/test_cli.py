@@ -107,10 +107,16 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         ("oracle-check", "oracle.levels=10,200"),
         ("adapt", "adapt.strategy=NEWEST"),
         ("adapt", "adapt.n_initial=9", "adapt.n_max=5"),
+        ("assimilate", "seed=3"),
+        ("assimilate", "grid.T=1.0"),
+        # The data overflow to inf at the pulse and must not reach the output.
+        ("assimilate", "problem.name=example2", "problem.eps=1e-300", "grid.N=3", "grid.d=10",
+         f"output_dir={tmp_path / 'nan'}"),
     ]
     for argv in cases:
         assert run(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "nan" / "summary.txt").exists()
 
 
 def test_solver_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):

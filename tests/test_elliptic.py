@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,18 +132,15 @@ def test_assemble_rejects_degenerate_grids(ex1i):
                           mesh.build_uniform_time_grid(1.0, 4))
 
 
-def test_dump_system_round_trip(tmp_path, ex1i):
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 4)
-    tg = mesh.build_uniform_time_grid(1.0, 3)
-    system = elliptic.assemble(ex1i, sm, tg)
-    matrix_path = tmp_path / "A.txt"
-    rhs_path = tmp_path / "b.txt"
-    elliptic.dump_system(system, matrix_path, rhs_path)
+def test_non_finite_data_fail_loudly(ex1i, ex1i_system):
+    # NaN only inside (0.1, 0.2), away from the points checked at construction.
+    def f(t, x):
+        return np.where((0.1 < t) & (t < 0.2), np.nan, 0.0) * np.asarray(x, dtype=float)
 
-    dense = np.zeros(system.A.shape)
-    for line in matrix_path.read_text().splitlines():
-        r, c, v = line.split()
-        dense[int(r), int(c)] += float(v)
-    np.testing.assert_array_equal(dense, system.A.toarray())
-    rhs = np.array([float(v) for v in rhs_path.read_text().split()])
-    np.testing.assert_array_equal(rhs, system.b)
+    spec = replace(ex1i, f=f)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 6)
+    with pytest.raises(ValueError, match="non-finite"):
+        elliptic.assemble(spec, sm, mesh.build_uniform_time_grid(1.0, 5))
+    nan_load = replace(ex1i_system, b=np.full_like(ex1i_system.b, np.nan))
+    with pytest.raises(elliptic.EllipticSolverError):
+        elliptic.solve_sparse(nan_load)

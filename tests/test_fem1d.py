@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from varda import fem1d, mesh
+from conftest import nodal
+from varda import fem1d, mesh, problems
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -99,3 +100,37 @@ def test_spatial_matrices_are_symmetric_and_positive():
         assert v @ (mats.M @ v) > 0.0
         assert v @ (mats.K_a @ v) >= -1e-13
         assert v @ (mats.M_a0 @ v) >= -1e-13
+
+
+@pytest.mark.parametrize("name", problems.CATALOG_NAMES)
+def test_sample_matches_the_per_slice_loop(name):
+    spec, _ = problems.build(name)
+    taus = np.array([0.0, 0.1, 1.0 / 6.0, 0.45, 0.5, 0.8, 1.0])
+    nodes = np.linspace(0.0, 1.0, 11)
+    for field in ("f", "y_d", "y_d_t", "Ay_d"):
+        fun = getattr(spec, field)
+        got = fem1d.sample(fun, taus, nodes)
+        want = nodal(fun, taus, nodes)
+        assert got.shape == (taus.size, nodes.size)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(np.max(np.abs(want)), 1e-300), field
+    for field in ("a", "a0", "y_b"):
+        fun = getattr(spec, field)
+        want = np.broadcast_to(np.asarray(fun(nodes), dtype=float), nodes.shape)
+        np.testing.assert_array_equal(fem1d._coefficient_at(fun, nodes), want)
+
+
+def test_sample_shapes_and_non_finite_values():
+    t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    x = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+    vals = fem1d.sample(lambda t, x: t * x, t, x)
+    assert vals.shape == (2, 3, 4, 5)
+    np.testing.assert_array_equal(vals, t[:, :, None, None] * x[None, None])
+    assert fem1d.sample(lambda t, x: 2.0, 0.5, x).shape == (4, 5)
+
+    def spiky(t, x):
+        return 1.0 / (t - 0.5) + 0.0 * x
+
+    with pytest.raises(ValueError, match="spiky"):
+        fem1d.sample(spiky, np.array([0.0, 0.5]), x)
+    with pytest.raises(ValueError, match="non-finite"):
+        fem1d._coefficient_at(lambda x: np.log(x), x)

@@ -23,7 +23,12 @@ def _smooth_data_problem():
         x = np.asarray(x, dtype=float)
         return 2.0 * t * np.sin(np.pi * x) - 0.9 * np.sin(2 * np.pi * x) * np.sin(3 * t)
 
-    return replace(problems.example1("i"), y_d=y_d, y_d_t=y_d_t)
+    def ay_d(t, x):
+        # -(nu y_d')' with nu = 0.1, so each sine mode k picks up k^2 RATE.
+        x = np.asarray(x, dtype=float)
+        return RATE * (np.sin(np.pi * x) * (1.0 + t * t) + 1.2 * np.sin(2 * np.pi * x) * np.cos(3 * t))
+
+    return replace(problems.example1("i"), y_d=y_d, y_d_t=y_d_t, Ay_d=ay_d)
 
 
 def _duality_defect(spec, tgrid, theta, rng):
@@ -89,6 +94,11 @@ def test_state_solver_validates_the_initial_state(ex1i, smesh40, tgrid40):
         forward.solve_state(ex1i, np.ones(smesh40.d + 1), cfg, smesh40)
     with pytest.raises(ValueError):
         forward.solve_state(ex1i, np.zeros(5), cfg, smesh40)
+    for node in (0, 7):
+        u0 = np.zeros(smesh40.d + 1)
+        u0[node] = np.nan
+        with pytest.raises(ValueError):
+            forward.solve_state(ex1i, u0, cfg, smesh40)
     with pytest.raises(ValueError):
         forward.ThetaSchemeConfig(theta=1.5, tgrid=tgrid40)
 

@@ -109,39 +109,6 @@ def test_grid_file_rejects_garbage(tmp_path):
         mesh.read_time_grid(path)
 
 
-def test_interpolation_exact_on_bilinear_field():
-    src_t = mesh.build_time_grid([0.0, 0.4, 1.0])
-    src_x = mesh.build_spatial_mesh(0.0, 1.0, 3)
-    vals = 2.0 * src_t.taus[:, None] + 3.0 * src_x.nodes[None, :] - 1.0
-    field = mesh.SpaceTimeField(src_t, src_x, vals)
-    dst_t = mesh.build_uniform_time_grid(1.0, 7)
-    dst_x = mesh.build_spatial_mesh(0.0, 1.0, 5)
-    out = mesh.interpolate_field(field, dst_t, dst_x)
-    expected = 2.0 * dst_t.taus[:, None] + 3.0 * dst_x.nodes[None, :] - 1.0
-    np.testing.assert_allclose(out.values, expected, atol=1e-14)
-
-
-def test_interpolation_is_restriction_on_nested_grids():
-    fine_t = mesh.build_uniform_time_grid(1.0, 8)
-    fine_x = mesh.build_spatial_mesh(0.0, 1.0, 8)
-    rng = np.random.default_rng(3)
-    field = mesh.SpaceTimeField(fine_t, fine_x, rng.standard_normal((9, 9)))
-    coarse_t = mesh.build_uniform_time_grid(1.0, 4)
-    coarse_x = mesh.build_spatial_mesh(0.0, 1.0, 4)
-    out = mesh.interpolate_field(field, coarse_t, coarse_x)
-    np.testing.assert_allclose(out.values, field.values[::2, ::2], atol=1e-14)
-
-
-def test_interpolation_rejects_mismatched_domains():
-    tg = mesh.build_uniform_time_grid(1.0, 2)
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 2)
-    field = mesh.SpaceTimeField(tg, sm, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        mesh.interpolate_field(field, mesh.build_uniform_time_grid(2.0, 2), sm)
-    with pytest.raises(ValueError):
-        mesh.interpolate_field(field, tg, mesh.build_spatial_mesh(0.0, 2.0, 2))
-
-
 def test_grid_format_is_full_precision():
     tg = mesh.build_time_grid([0.0, 1.0 / 3.0, 1.0])
     text = mesh.format_time_grid(tg)

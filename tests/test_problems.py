@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,3 +170,21 @@ def test_problem_spec_rejects_a_mismatched_time_derivative():
             a=spec.a, a0=spec.a0, alpha=spec.alpha, T=spec.T, domain=spec.domain,
             f=spec.f, y_d=spec.y_d, y_d_t=bad, Ay_d=spec.Ay_d, y_b=spec.y_b,
         )
+
+
+def test_problem_spec_rejects_a_mismatched_operator():
+    spec = problems.example1("i")
+    flipped = lambda t, x: -spec.Ay_d(t, x)
+    with pytest.raises(ValueError, match="Ay_d disagrees"):
+        replace(spec, Ay_d=flipped)
+
+
+def test_problem_spec_rejects_callbacks_that_do_not_broadcast():
+    spec = problems.example1("i")
+    scalar_t = lambda t, x: math.exp(-t) * np.sin(np.pi * x)
+    with pytest.raises(ValueError, match="f fails on a tensor grid"):
+        replace(spec, f=scalar_t)
+    # Summing over the first axis mixes the time points of a tensor grid.
+    reducing = lambda t, x: np.sum(np.exp(-t) * np.sin(np.pi * x), axis=0)
+    with pytest.raises(ValueError, match="f does not broadcast"):
+        replace(spec, f=reducing)
