@@ -260,11 +260,12 @@ def _prepare_output_dir(cfg: RunConfig) -> Path:
 
 def format_field_csv(field_: mesh.SpaceTimeField) -> str:
     """Field dump: columns t,x,value, row order time-major."""
+    # The t and x strings are shared by many cells; only values vary per cell.
+    xs = [_fmt(x) for x in field_.smesh.nodes]
     lines = ["t,x,value"]
-    for i, t in enumerate(field_.tgrid.taus):
-        row = field_.values[i]
-        for j, x in enumerate(field_.smesh.nodes):
-            lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(row[j])}")
+    for t, row in zip(field_.tgrid.taus, field_.values.tolist()):
+        ts = _fmt(t)
+        lines.extend([f"{ts},{x},{v:.17g}" for x, v in zip(xs, row)])
     return "\n".join(lines) + "\n"
 
 

@@ -190,7 +190,10 @@ def _bump_d2(u):
 
 
 def bump_sigma(t, m: float, eps: float):
-    """Smooth ramp from 1 to 0 across [m - eps, m + eps]."""
+    """Smooth ramp from 1 to 0 across [m - eps/2, m + eps/2].
+
+    sigma is exactly 1 for t <= m - eps/2 and exactly 0 for t >= m + eps/2.
+    """
     s = (np.asarray(t, dtype=float) - m) / eps
     down = _bump(0.5 - s)
     up = _bump(0.5 + s)
@@ -234,6 +237,9 @@ def example3(
     optimality system exactly: y_d is the time derivative of p and the
     forcing absorbs the remaining terms.  Returns the problem and the exact
     adjoint as a callable.
+
+    The ramp itself spans [m - eps/2, m + eps/2]; the check below requires
+    the wider interval [m - eps, m + eps] to sit inside the horizon.
     """
     if alpha <= 0.0 or nu <= 0.0 or eps <= 0.0:
         raise ValueError("alpha, nu and eps must be positive")

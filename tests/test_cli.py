@@ -80,6 +80,19 @@ def test_reruns_are_byte_identical(tmp_path):
         assert path_a.read_bytes() == (out_b / path_a.name).read_bytes()
 
 
+def test_field_csv_matches_the_per_cell_format():
+    tgrid = mesh.build_time_grid([0.0, 0.1, 1.0 / 3.0, 0.35, 0.9, 1.0])
+    smesh = mesh.build_spatial_mesh(-0.3, 0.7, 7)
+    values = np.random.default_rng(5).standard_normal((6, 8)) * 10.0 ** np.arange(-8, 8, 2)
+    field_ = mesh.SpaceTimeField(tgrid, smesh, values)
+    expected = ["t,x,value"] + [
+        f"{t:.17g},{x:.17g},{values[i, j]:.17g}"
+        for i, t in enumerate(tgrid.taus)
+        for j, x in enumerate(smesh.nodes)
+    ]
+    assert cli.format_field_csv(field_) == "\n".join(expected) + "\n"
+
+
 def test_config_precedence_file_env_override_flag(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from varda import assimilation, elliptic, mesh, problems
+from varda import adaptivity, assimilation, elliptic, mesh, problems
 
 
 def _zero(t, x):
@@ -144,3 +145,72 @@ def test_non_finite_data_fail_loudly(ex1i, ex1i_system):
     nan_load = replace(ex1i_system, b=np.full_like(ex1i_system.b, np.nan))
     with pytest.raises(elliptic.EllipticSolverError):
         elliptic.solve_sparse(nan_load)
+
+
+def _superlu_solution(system):
+    # The sparse-LU solve with one refinement step, kept as the oracle.
+    A, b = system.A, system.b
+    lu = spla.splu(A.tocsc())
+    x = lu.solve(b)
+    x += lu.solve(b - A @ x)
+    return x
+
+
+def _variable_coefficient_problem():
+    # y_d = 0 keeps y_d_t and Ay_d consistent for any a, a0.
+    return replace(
+        problems.example1("i"),
+        a=lambda x: 0.05 + 0.1 * np.asarray(x, dtype=float) ** 2,
+        a0=lambda x: 2.0 + np.sin(3.0 * np.asarray(x, dtype=float)),
+        y_d=_zero,
+        y_d_t=_zero,
+        Ay_d=_zero,
+    )
+
+
+@pytest.fixture(scope="module")
+def solver_grids():
+    smesh = mesh.build_spatial_mesh(0.0, 1.0, 40)
+    spec, _ = problems.example3(eps=0.5)
+    adapted, _ = adaptivity.adapt_loop(
+        spec, smesh, adaptivity.AdaptConfig(strategy="MAX", n_initial=5, n_max=30)
+    )
+    return [
+        (smesh, mesh.build_uniform_time_grid(1.0, 40)),
+        (mesh.build_spatial_mesh(0.0, 1.0, 12), mesh.build_uniform_time_grid(1.0, 8)),
+        (smesh, adapted),
+    ]
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-2, 0.6, 1.0, 1e2, 1e4])
+def test_tensor_solve_agrees_with_sparse_lu(alpha, solver_grids):
+    for spec in (problems.example2(), _variable_coefficient_problem()):
+        for smesh, tgrid in solver_grids:
+            system = elliptic.assemble(replace(spec, alpha=alpha), smesh, tgrid)
+            sol = elliptic.solve_sparse(system)
+            x = system.dofmap.gather(sol.p.values, sol.q.values)
+            x_lu = _superlu_solution(system)
+            assert np.linalg.norm(x - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
+            assert sol.solver_residual <= 1e-12
+
+
+def test_assimilation_runs_without_splu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    spec = problems.example2()
+    result = assimilation.assimilate(
+        spec, mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 20)
+    )
+    assert np.all(np.isfinite(result.u))
+
+
+def test_singular_mass_block_raises_a_solver_error(ex1i_system):
+    singular = replace(ex1i_system, m_inner=np.zeros_like(ex1i_system.m_inner))
+    with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
+        elliptic.solve_sparse(singular)
+    flat_mt = ex1i_system.mt.copy()
+    flat_mt.data[:] = 0.0
+    with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
+        elliptic.solve_sparse(replace(ex1i_system, mt=flat_mt))
