@@ -54,7 +54,6 @@ from .mesh import (
     build_time_grid,
     build_uniform_time_grid,
     read_time_grid,
-    write_time_grid,
 )
 from .problems import (
     consistent_problem,
@@ -111,6 +110,5 @@ __all__ = [
     "solve_adjoint_classic",
     "solve_sparse",
     "solve_state",
-    "write_time_grid",
     "__version__",
 ]

@@ -14,9 +14,8 @@ without solving once per cycle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "adapt_loop",
     "uniform_initial_errors",
     "format_history_csv",
-    "write_history_csv",
 ]
 
 _STRATEGIES = ("MAX", "DOERFLER")
@@ -49,7 +47,6 @@ class ErrorIndicators:
     """Squared per-interval indicators and their sum."""
 
     per_interval: np.ndarray
-    total: float
 
     def __post_init__(self) -> None:
         vals = np.array(self.per_interval, dtype=float, copy=True)
@@ -59,9 +56,10 @@ class ErrorIndicators:
             raise ValueError("need a nonempty 1-D indicator array")
         if np.any(vals < 0.0):
             raise ValueError("squared indicators cannot be negative")
-        s = float(np.sum(vals))
-        if abs(self.total - s) > 1e-12 * max(s, 1e-300):
-            raise ValueError(f"total {self.total} does not match the sum {s}")
+
+    @property
+    def total(self) -> float:
+        return float(np.sum(self.per_interval))
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,13 @@ class AdaptConfig:
 
     strategy MAX bisects the single worst interval per cycle; DOERFLER
     bisects a minimal set carrying at least theta_mark of the total squared
-    indicator.  marks_per_cycle, when set, caps how many intervals any one
-    cycle may bisect.
+    indicator.
     """
 
     strategy: str = "MAX"
     theta_mark: float = 0.5
     n_initial: int = 5
     n_max: int = 40
-    marks_per_cycle: int | None = None
     record_reference_error: bool = False
 
     def __post_init__(self) -> None:
@@ -92,8 +88,6 @@ class AdaptConfig:
             raise ValueError(
                 f"n_initial {self.n_initial} exceeds n_max {self.n_max}"
             )
-        if self.marks_per_cycle is not None and self.marks_per_cycle < 1:
-            raise ValueError("marks_per_cycle must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -166,13 +160,7 @@ def compute_indicators(
             g += da * q_x - a0_vals * q_at
         dt = tgrid.deltas[i]
         eta_sq[i] = dt * dt * (w_t[i] @ ((g * g) @ quad.w).sum(axis=1))
-    return ErrorIndicators(per_interval=eta_sq, total=float(np.sum(eta_sq)))
-
-
-def _ranked(per_interval: np.ndarray) -> np.ndarray:
-    # Descending by value, ascending index among ties.
-    order = np.lexsort((np.arange(per_interval.size), -per_interval))
-    return order
+    return ErrorIndicators(per_interval=eta_sq)
 
 
 def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
@@ -185,7 +173,8 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     threshold = cfg.theta_mark * ind.total
     chosen: set[int] = set()
     acc = 0.0
-    for idx in _ranked(vals):
+    # Descending by value, ascending index among ties.
+    for idx in np.lexsort((np.arange(vals.size), -vals)):
         chosen.add(int(idx))
         acc += float(vals[idx])
         if acc >= threshold:
@@ -193,9 +182,28 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     return chosen
 
 
-def _l2_gap(p0_a: np.ndarray, p0_b: np.ndarray, mass) -> float:
-    diff = p0_a - p0_b
-    return float(np.sqrt(diff @ (mass @ diff)))
+def _reference_solver(
+    problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int
+) -> Callable[[TimeGrid], tuple[elliptic.EllipticSolution, float]]:
+    """Solve once on a uniform grid of n_reference intervals.
+
+    Returns a function that solves on a given grid and also returns the
+    L2(Omega) gap of its p(0) to the reference p(0).
+    """
+    ref_grid = build_uniform_time_grid(problem.T, n_reference)
+    ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order)
+    reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
+    mass = fem1d.assemble_spatial_matrices(
+        smesh, problem.a, problem.a0, quad_order=quad_order
+    ).M
+
+    def solve_with_error(tgrid: TimeGrid) -> tuple[elliptic.EllipticSolution, float]:
+        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order)
+        sol = elliptic.solve_sparse(system)
+        diff = reference_p0 - sol.p.values[0]
+        return sol, float(np.sqrt(diff @ (mass @ diff)))
+
+    return solve_with_error
 
 
 def adapt_loop(
@@ -216,24 +224,16 @@ def adapt_loop(
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
 
-    reference_p0 = None
-    mass = None
+    solve_with_error = None
     if cfg.record_reference_error:
-        ref_grid = build_uniform_time_grid(problem.T, 4 * cfg.n_max)
-        ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order)
-        reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
-        mass = fem1d.assemble_spatial_matrices(
-            smesh, problem.a, problem.a0, quad_order=quad_order
-        ).M
+        solve_with_error = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
 
     cycle = 0
     while True:
         sol = None
         true_error = None
-        if cfg.record_reference_error:
-            system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order)
-            sol = elliptic.solve_sparse(system)
-            true_error = _l2_gap(reference_p0, sol.p.values[0], mass)
+        if solve_with_error is not None:
+            sol, true_error = solve_with_error(tgrid)
 
         ind = compute_indicators(problem, sol, smesh, tgrid, quad_order=quad_order)
         history.append(
@@ -251,11 +251,6 @@ def adapt_loop(
         marks = mark(ind, cfg)
         if not marks:
             break
-        if cfg.marks_per_cycle is not None and len(marks) > cfg.marks_per_cycle:
-            keep = [
-                i for i in _ranked(ind.per_interval) if int(i) in marks
-            ][: cfg.marks_per_cycle]
-            marks = {int(i) for i in keep}
         tgrid = bisect_intervals(tgrid, marks)
         cycle += 1
 
@@ -276,19 +271,10 @@ def uniform_initial_errors(
     reference resolution and same norm, so the adaptive and uniform columns
     of an error-vs-N comparison are measured identically.
     """
-    ref_grid = build_uniform_time_grid(problem.T, n_reference)
-    ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order)
-    reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
-    mass = fem1d.assemble_spatial_matrices(
-        smesh, problem.a, problem.a0, quad_order=quad_order
-    ).M
-    gaps = []
-    for n in counts:
-        grid = build_uniform_time_grid(problem.T, int(n))
-        system = elliptic.assemble(problem, smesh, grid, quad_order=quad_order)
-        sol = elliptic.solve_sparse(system)
-        gaps.append(_l2_gap(reference_p0, sol.p.values[0], mass))
-    return np.asarray(gaps)
+    solve_with_error = _reference_solver(problem, smesh, n_reference, quad_order)
+    return np.asarray(
+        [solve_with_error(build_uniform_time_grid(problem.T, int(n)))[1] for n in counts]
+    )
 
 
 def format_history_csv(history: AdaptHistory) -> str:
@@ -298,8 +284,3 @@ def format_history_csv(history: AdaptHistory) -> str:
         err = "" if rec.true_error is None else f"{rec.true_error:.17g}"
         lines.append(f"{rec.cycle},{rec.n_intervals},{rec.eta_total:.17g},{err}")
     return "\n".join(lines) + "\n"
-
-
-def write_history_csv(history: AdaptHistory, path) -> None:
-    """Write the cycle history as CSV."""
-    Path(path).write_text(format_history_csv(history))

@@ -10,31 +10,35 @@ every test function is homogeneous, so trial and test spaces differ and the
 assembled matrix is nonsymmetric.  Its symmetric part is positive definite
 on the free unknowns.
 
-Block layout of the free unknowns: all free p values first, then all free q
-values, each block time-major.  In tensor form the blocks are
+The free unknowns are p on time nodes 0..N-1 and q on time nodes 0..N, both
+on the interior spatial nodes; p comes first, each block time-major.  Stack
+the 2N + 1 time rows the same way (N rows of p, then N + 1 rows of q) and
+the whole operator is two Kronecker products,
 
-    A_pp = Kt (x) M  +  E00 (x) (K_a + M_a0 + (1/alpha) M)
-    A_pq =  Mt (x) (K_a + M_a0)
-    A_qp = -Mt (x) (K_a + M_a0)   (negative transpose of A_pq)
-    A_qq =  Mt (x) M
+    A = T_M (x) M_I  +  T_K (x) K_I,
 
-with Mt, Kt the temporal mass/stiffness on the (possibly non-uniform) time
-grid, M, K_a, M_a0 the spatial matrices, and E00 picking the t=0 node.
-Constrained values are eliminated; the known q boundary columns move to the
-right-hand side.
+    T_M = [[Kt_NN + (1/alpha) e0 e0^T, 0 ], [0,            Mt]],
+    T_K = [[e0 e0^T,                Mt_N:], [-Mt_:N,       0 ]],
 
-solve_sparse never factors A.  Because every block is a Kronecker product,
+with Mt, Kt the temporal mass and stiffness on the (possibly non-uniform)
+time grid, Kt_NN its leading N x N block, Mt_N: its first N rows and Mt_:N
+its first N columns, e0 the t = 0 node, and M_I, K_I the spatial mass and
+K_hat = K_a + M_a0 on the interior nodes.  The known q boundary values Q_B
+(one column per spatial end) are lifted to the right-hand side through the
+same two time factors and the interior-row, boundary-column blocks of M and
+K_hat.
+
+solve_sparse never factors A.  Because A is a sum of two Kronecker products,
 the tensor-product direct method of Lynch, Rice & Thomas (Numer. Math. 6,
-1964) applies exactly.  On the interior spatial nodes, one generalized
-eigenproblem K_hat V = M V diag(lam) with K_hat = K_a + M_a0 and V^T M V = I
-turns every spatial matrix diagonal, so the system splits into one
-independent time problem per spatial mode k.  In mode k, with the final-time
-row of p removed (p(T) = 0), the q equation reads Mt q = b_q + lam Mt[:, :N] p,
-so q = Mt^-1 b_q + lam [p; 0].  Substituting it into the p equation leaves
+1964) applies exactly.  One generalized eigenproblem K_I V = M_I V diag(lam)
+with V^T M_I V = I turns both spatial factors diagonal, so the system splits
+into one time problem T_M + lam T_K per spatial mode.  In mode k, the q rows
+read Mt q = b_q + lam Mt_:N p, so q = Mt^-1 b_q + lam [p; 0].  Substituting
+it into the p rows leaves
 
     (Kt_NN + lam^2 Mt_NN + (lam + 1/alpha) e0 e0^T) p = b_p - lam b_q[:N],
 
-with Kt_NN, Mt_NN the leading N x N blocks.  Kt_NN and Mt_NN are symmetric
+with Mt_NN the leading N x N block of Mt.  Kt_NN and Mt_NN are symmetric
 positive definite tridiagonal matrices, so for lam > -1/alpha (always, when
 a > 0 and a0 >= 0 make K_hat positive definite) every mode matrix is SPD and
 tridiagonal.  Cholesky needs no pivoting on SPD matrices and is backward
@@ -62,7 +66,6 @@ __all__ = [
     "AssembledSystem",
     "EllipticSolution",
     "EllipticSolverError",
-    "build_dofmap",
     "assemble",
     "solve_sparse",
     "residual_check",
@@ -75,27 +78,25 @@ class EllipticSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Free/fixed classification of every (field, time node, space node).
+    """Free values of the adjoint pair on the tensor grid.
 
     Field p is fixed to zero on the lateral boundary and on the final time
-    slice; field q is fixed to minus the data trace on the lateral boundary
-    and free elsewhere.  Flat node ids are time-major, i * (d+1) + j.
+    slice; field q is fixed to q_boundary, shape (N+1, 2), on the two
+    spatial ends and free elsewhere.  The free values are p[:N, 1:-1] and
+    then q[:, 1:-1], each flattened time-major.
     """
 
     tgrid: TimeGrid
     smesh: SpatialMesh
-    p_free: np.ndarray
-    q_free: np.ndarray
-    q_fixed: np.ndarray
-    q_fixed_values: np.ndarray
+    q_boundary: np.ndarray
 
     @property
     def n_p(self) -> int:
-        return self.p_free.size
+        return self.tgrid.N * (self.smesh.d - 1)
 
     @property
     def n_q(self) -> int:
-        return self.q_free.size
+        return (self.tgrid.N + 1) * (self.smesh.d - 1)
 
     @property
     def size(self) -> int:
@@ -105,18 +106,19 @@ class DofMap:
         """Expand a free-dof vector into full nodal (p, q) arrays."""
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} free values, got {x.shape}")
-        shape = (self.tgrid.N + 1, self.smesh.d + 1)
-        p = np.zeros(shape)
-        q = np.zeros(shape)
-        p.ravel()[self.p_free] = x[: self.n_p]
-        q.ravel()[self.q_free] = x[self.n_p :]
-        q.ravel()[self.q_fixed] = self.q_fixed_values
+        N, d = self.tgrid.N, self.smesh.d
+        p = np.zeros((N + 1, d + 1))
+        q = np.zeros((N + 1, d + 1))
+        p[:N, 1:-1] = x[: self.n_p].reshape(N, d - 1)
+        q[:, 1:-1] = x[self.n_p :].reshape(N + 1, d - 1)
+        q[:, [0, -1]] = self.q_boundary
         return p, q
 
     def gather(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Collect the free-dof vector back out of full nodal arrays."""
+        N = self.tgrid.N
         return np.concatenate(
-            [np.asarray(p).ravel()[self.p_free], np.asarray(q).ravel()[self.q_free]]
+            [np.asarray(p)[:N, 1:-1].ravel(), np.asarray(q)[:, 1:-1].ravel()]
         )
 
 
@@ -124,9 +126,9 @@ class DofMap:
 class AssembledSystem:
     """Sparse operator and load over the free dofs, plus their dof map.
 
-    The 1-D factors of A's Kronecker blocks come along for the solver:
-    k_hat_inner and m_inner are K_a + M_a0 and M on the interior spatial
-    nodes (dense), mt and kt the temporal mass and stiffness.
+    The 1-D matrices behind A's two Kronecker products come along for the
+    solver: k_hat_inner and m_inner are K_a + M_a0 and M on the interior
+    spatial nodes (dense), mt and kt the temporal mass and stiffness.
     """
 
     A: sp.csr_array
@@ -148,34 +150,13 @@ class EllipticSolution:
     solver_residual: float
 
 
-def build_dofmap(problem: "ProblemSpec", smesh: SpatialMesh, tgrid: TimeGrid) -> DofMap:
-    """Classify dofs and tabulate the fixed boundary values of q."""
-    n_x = smesh.d + 1
-    inner = np.arange(1, smesh.d)
-    p_rows = np.arange(tgrid.N) * n_x
-    q_rows = np.arange(tgrid.N + 1) * n_x
-    p_free = (p_rows[:, None] + inner[None, :]).ravel()
-    q_free = (q_rows[:, None] + inner[None, :]).ravel()
-    q_fixed = (q_rows[:, None] + np.array([0, smesh.d])[None, :]).ravel()
-    trace = fem1d.sample(problem.y_d, tgrid.taus, np.array([smesh.x_left, smesh.x_right]))
-    q_fixed_values = -trace.ravel()
-    return DofMap(
-        tgrid=tgrid,
-        smesh=smesh,
-        p_free=p_free,
-        q_free=q_free,
-        q_fixed=q_fixed,
-        q_fixed_values=q_fixed_values,
-    )
-
-
 def _data_load(
     problem: "ProblemSpec",
     smesh: SpatialMesh,
     tgrid: TimeGrid,
     quad_order: int,
 ) -> np.ndarray:
-    """Load vector over all p test functions (full node set, time-major).
+    """Load against every p test function, shape (N+1, d+1), time-major.
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
     function.  Initial term: integral of (y_b - y_d(0)) against the t=0
@@ -192,7 +173,7 @@ def _data_load(
 
     g0 = fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x)
     load[0] += quad.gather(g0)
-    return load.ravel()
+    return load
 
 
 def assemble(
@@ -201,7 +182,7 @@ def assemble(
     tgrid: TimeGrid,
     quad_order: int = 3,
 ) -> AssembledSystem:
-    """Assemble the free-dof system for the adjoint pair.
+    """Assemble A = T_M (x) M_I + T_K (x) K_I and its load on the free dofs.
 
     Raises ValueError for a non-positive trust coefficient or degenerate
     grids (the coupled system needs at least one interval in time and one
@@ -214,41 +195,34 @@ def assemble(
     if smesh.d < 2:
         raise ValueError("need at least one interior spatial node")
 
-    dofmap = build_dofmap(problem, smesh, tgrid)
+    N, d = tgrid.N, smesh.d
     mats = fem1d.assemble_spatial_matrices(
         smesh, problem.a, problem.a0, quad_order=quad_order
     )
-    k_hat = (mats.K_a + mats.M_a0).tocsr()
-    s0 = (k_hat + (1.0 / problem.alpha) * mats.M).tocsr()
-
+    m, k_hat = mats.M, mats.K_a + mats.M_a0
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
-    n_t = tgrid.N + 1
-    e00 = sp.coo_array(([1.0], ([0], [0])), shape=(n_t, n_t))
 
-    a_pp_full = (sp.kron(kt, mats.M) + sp.kron(e00, s0)).tocsr()
-    coupling_full = sp.kron(mt, k_hat).tocsr()
-    a_qq_full = sp.kron(mt, mats.M).tocsr()
+    e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
+    t_m = sp.block_diag([kt[:N, :N] + e0 / problem.alpha, mt], format="csr")
+    t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
+    m_inner, k_inner = m[1:-1, 1:-1], k_hat[1:-1, 1:-1]
+    A = (sp.kron(t_m, m_inner) + sp.kron(t_k, k_inner)).tocsr()
 
-    pf, qf, qx = dofmap.p_free, dofmap.q_free, dofmap.q_fixed
-    a_pp = a_pp_full[pf][:, pf]
-    a_pq = coupling_full[pf][:, qf]
-    a_qp = -coupling_full[qf][:, pf]
-    a_qq = a_qq_full[qf][:, qf]
-    A = sp.block_array([[a_pp, a_pq], [a_qp, a_qq]]).tocsr()
-
-    b_p = _data_load(problem, smesh, tgrid, quad_order)[pf]
-    b_q = np.zeros(qf.size)
-    if np.any(dofmap.q_fixed_values):
-        # Lift the known q boundary columns onto the right-hand side.
-        b_p -= coupling_full[pf][:, qx] @ dofmap.q_fixed_values
-        b_q -= a_qq_full[qf][:, qx] @ dofmap.q_fixed_values
-    b = np.concatenate([b_p, b_q])
+    # Lift the known q boundary values through the same two factors; the
+    # column slice ::d keeps the two boundary columns 0 and d.
+    ends = np.array([smesh.x_left, smesh.x_right])
+    q_boundary = -fem1d.sample(problem.y_d, tgrid.taus, ends)
+    b = -(
+        t_m[:, N:] @ q_boundary @ m[1:-1, ::d].T
+        + t_k[:, N:] @ q_boundary @ k_hat[1:-1, ::d].T
+    )
+    b[:N] += _data_load(problem, smesh, tgrid, quad_order)[:N, 1:-1]
     return AssembledSystem(
         A=A,
-        b=b,
-        dofmap=dofmap,
-        k_hat_inner=k_hat[1:-1, 1:-1].toarray(),
-        m_inner=mats.M[1:-1, 1:-1].toarray(),
+        b=b.ravel(),
+        dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
+        k_hat_inner=k_inner.toarray(),
+        m_inner=m_inner.toarray(),
         mt=mt,
         kt=kt,
         alpha=float(problem.alpha),

@@ -24,7 +24,6 @@ __all__ = [
     "build_time_grid",
     "bisect_intervals",
     "format_time_grid",
-    "write_time_grid",
     "read_time_grid",
 ]
 
@@ -176,11 +175,6 @@ def format_time_grid(grid: TimeGrid) -> str:
     """Render a grid as text, one node per line."""
     lines = [f"{t:.17g}" for t in grid.taus]
     return "\n".join(lines) + "\n"
-
-
-def write_time_grid(grid: TimeGrid, path) -> None:
-    """Write a grid file: one tau per line, ascending."""
-    Path(path).write_text(format_time_grid(grid))
 
 
 def read_time_grid(path) -> TimeGrid:

@@ -310,7 +310,7 @@ def test_criterion_6_structural_suite(capsys, smesh, tgrid):
     for _ in range(1000):
         vals = rng.uniform(0.0, 1.0, int(rng.integers(1, 41)))
         theta = float(rng.uniform(0.05, 0.95))
-        ind = adaptivity.ErrorIndicators(per_interval=vals, total=float(vals.sum()))
+        ind = adaptivity.ErrorIndicators(per_interval=vals)
         marked = adaptivity.mark(
             ind, adaptivity.AdaptConfig(strategy="DOERFLER", theta_mark=theta)
         )

@@ -102,21 +102,19 @@ def test_indicator_ranks_the_ramp_interval_first():
 
 def test_error_indicators_validate_their_inputs():
     with pytest.raises(ValueError):
-        ErrorIndicators(per_interval=np.array([1.0, -0.5]), total=0.5)
+        ErrorIndicators(per_interval=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
-        ErrorIndicators(per_interval=np.array([1.0, 2.0]), total=4.0)
-    with pytest.raises(ValueError):
-        ErrorIndicators(per_interval=np.zeros((2, 2)), total=0.0)
+        ErrorIndicators(per_interval=np.zeros((2, 2)))
 
 
 def test_max_marking_picks_the_single_worst_interval():
-    ind = ErrorIndicators(per_interval=np.array([0.1, 3.0, 0.2, 3.0]), total=6.3)
+    ind = ErrorIndicators(per_interval=np.array([0.1, 3.0, 0.2, 3.0]))
     marks = adaptivity.mark(ind, AdaptConfig(strategy="MAX"))
     assert marks == {1}
 
 
 def test_marking_returns_empty_on_zero_indicators():
-    ind = ErrorIndicators(per_interval=np.zeros(4), total=0.0)
+    ind = ErrorIndicators(per_interval=np.zeros(4))
     assert adaptivity.mark(ind, AdaptConfig(strategy="MAX")) == set()
     assert adaptivity.mark(ind, AdaptConfig(strategy="DOERFLER")) == set()
 
@@ -131,7 +129,7 @@ def test_doerfler_marking_is_minimal_over_many_cases():
             vals[0] = 1.0
         theta = float(rng.uniform(0.05, 0.95))
         cfg = AdaptConfig(strategy="DOERFLER", theta_mark=theta)
-        ind = ErrorIndicators(per_interval=vals, total=float(vals.sum()))
+        ind = ErrorIndicators(per_interval=vals)
         marked = adaptivity.mark(ind, cfg)
         chosen = vals[sorted(marked)]
         assert chosen.sum() >= theta * ind.total
@@ -150,8 +148,6 @@ def test_adapt_config_validation():
         AdaptConfig(theta_mark=1.0)
     with pytest.raises(ValueError):
         AdaptConfig(n_initial=10, n_max=5)
-    with pytest.raises(ValueError):
-        AdaptConfig(marks_per_cycle=0)
 
 
 def test_history_requires_growing_grids():
@@ -196,17 +192,6 @@ def test_adapt_loop_records_reference_errors():
     assert errors[-1] < errors[0]
 
 
-def test_doerfler_cap_limits_growth():
-    spec = problems.example2()
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
-    cfg = AdaptConfig(
-        strategy="DOERFLER", theta_mark=0.9, n_initial=4, n_max=8, marks_per_cycle=1
-    )
-    _, history = adaptivity.adapt_loop(spec, sm, cfg)
-    counts = [rec.n_intervals for rec in history.cycles]
-    assert counts == list(range(4, 9))
-
-
 def test_uniform_initial_errors_match_direct_solves():
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
@@ -223,7 +208,7 @@ def test_uniform_initial_errors_match_direct_solves():
         assert gap == pytest.approx(float(np.sqrt(diff @ (mass @ diff))), abs=1e-15)
 
 
-def test_history_csv_shape(tmp_path):
+def test_history_csv_shape():
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
     _, history = adaptivity.adapt_loop(spec, sm, AdaptConfig(n_initial=4, n_max=6))
@@ -233,6 +218,3 @@ def test_history_csv_shape(tmp_path):
     assert len(lines) == len(history.cycles) + 1
     # Without reference recording the error column stays empty.
     assert all(line.endswith(",") for line in lines[1:])
-    path = tmp_path / "history.csv"
-    adaptivity.write_history_csv(history, path)
-    assert path.read_text() == text

@@ -120,6 +120,7 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         ("oracle-check", "oracle.levels=10,200"),
         ("adapt", "adapt.strategy=NEWEST"),
         ("adapt", "adapt.n_initial=9", "adapt.n_max=5"),
+        ("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
         ("assimilate", "seed=3"),
         ("assimilate", "grid.T=1.0"),
         # The data overflow to inf at the pulse and must not reach the output.

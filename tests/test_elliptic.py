@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import nodal
 
-from varda import adaptivity, assimilation, elliptic, mesh, problems
+from varda import adaptivity, assimilation, elliptic, fem1d, mesh, problems
 
 
 def _zero(t, x):
@@ -98,13 +100,15 @@ def test_solver_residual_contract(ex1i_system, ex1i_solution):
     assert elliptic.residual_check(ex1i_system, ex1i_solution) <= 1e-10
 
 
-def test_q_boundary_carries_the_data_trace():
-    rate = np.pi * np.pi * 0.01
+_TRACE_RATE = np.pi * np.pi * 0.01
 
+
+def _nonzero_trace_problem():
+    # y_d = cos(pi x) exp(-rate t) is -1 and 1 times exp(-rate t) on the ends.
     def y_d(t, x):
-        return np.cos(np.pi * np.asarray(x, dtype=float)) * np.exp(-rate * t)
+        return np.cos(np.pi * np.asarray(x, dtype=float)) * np.exp(-_TRACE_RATE * t)
 
-    spec = problems.ProblemSpec(
+    return problems.ProblemSpec(
         a=lambda x: 0.01 + np.zeros_like(np.asarray(x, dtype=float)),
         a0=_zero_coefficient,
         alpha=0.5,
@@ -112,15 +116,19 @@ def test_q_boundary_carries_the_data_trace():
         domain=(0.0, 1.0),
         f=_zero,
         y_d=y_d,
-        y_d_t=lambda t, x: -rate * y_d(t, x),
-        Ay_d=lambda t, x: rate * y_d(t, x),
+        y_d_t=lambda t, x: -_TRACE_RATE * y_d(t, x),
+        Ay_d=lambda t, x: _TRACE_RATE * y_d(t, x),
         y_b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
+
+
+def test_q_boundary_carries_the_data_trace():
     sm = mesh.build_spatial_mesh(0.0, 1.0, 10)
     tg = mesh.build_uniform_time_grid(1.0, 7)
-    sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, tg))
-    np.testing.assert_allclose(sol.q.values[:, 0], -np.exp(-rate * tg.taus), atol=1e-14)
-    np.testing.assert_allclose(sol.q.values[:, -1], np.exp(-rate * tg.taus), atol=1e-14)
+    sol = elliptic.solve_sparse(elliptic.assemble(_nonzero_trace_problem(), sm, tg))
+    decay = np.exp(-_TRACE_RATE * tg.taus)
+    np.testing.assert_allclose(sol.q.values[:, 0], -decay, atol=1e-14)
+    np.testing.assert_allclose(sol.q.values[:, -1], decay, atol=1e-14)
 
 
 def test_final_time_plane_of_p_is_pinned(ex1i_solution):
@@ -180,6 +188,67 @@ def solver_grids():
         (mesh.build_spatial_mesh(0.0, 1.0, 12), mesh.build_uniform_time_grid(1.0, 8)),
         (smesh, adapted),
     ]
+
+
+def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
+    """A and b built on the full node set and cut down by flat index arrays.
+
+    Kronecker blocks over every (time, space) node, free rows and columns
+    picked by flat node ids i * (d + 1) + j, and the known q boundary values
+    lifted by slicing out their columns.  Returns A, b and the flat arrays.
+    """
+    N, d = tgrid.N, smesh.d
+    inner, ends = np.arange(1, d), np.array([0, d])
+    p_free = (np.arange(N)[:, None] * (d + 1) + inner).ravel()
+    q_free = (np.arange(N + 1)[:, None] * (d + 1) + inner).ravel()
+    q_fixed = (np.arange(N + 1)[:, None] * (d + 1) + ends).ravel()
+    q_fixed_values = -nodal(spec.y_d, tgrid.taus, smesh.nodes[ends]).ravel()
+
+    mats = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=quad_order)
+    k_hat = (mats.K_a + mats.M_a0).tocsr()
+    mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
+    e00 = sp.coo_array(([1.0], ([0], [0])), shape=(N + 1, N + 1))
+    a_pp = (sp.kron(kt, mats.M) + sp.kron(e00, k_hat + mats.M / spec.alpha)).tocsr()
+    coupling = sp.kron(mt, k_hat).tocsr()
+    a_qq = sp.kron(mt, mats.M).tocsr()
+    A = sp.block_array([
+        [a_pp[p_free][:, p_free], coupling[p_free][:, q_free]],
+        [-coupling[q_free][:, p_free], a_qq[q_free][:, q_free]],
+    ]).tocsr()
+
+    load = elliptic._data_load(spec, smesh, tgrid, quad_order).ravel()
+    b_p = load[p_free] - coupling[p_free][:, q_fixed] @ q_fixed_values
+    b_q = -(a_qq[q_free][:, q_fixed] @ q_fixed_values)
+    return A, np.concatenate([b_p, b_q]), (p_free, q_free, q_fixed, q_fixed_values)
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e4])
+def test_assembly_matches_the_flat_index_construction(alpha, solver_grids):
+    specs = (problems.example2(), _variable_coefficient_problem(), _nonzero_trace_problem())
+    for spec in specs:
+        for smesh, tgrid in solver_grids:
+            spec_a = replace(spec, alpha=alpha)
+            system = elliptic.assemble(spec_a, smesh, tgrid)
+            A, b, _ = _flat_index_assembly(spec_a, smesh, tgrid)
+            assert system.A.nnz == A.nnz
+            assert abs(system.A - A).max() <= 1e-15 * abs(A).max()
+            assert np.linalg.norm(system.b - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_dofmap_slices_match_the_flat_node_ids(solver_grids):
+    spec = _nonzero_trace_problem()
+    rng = np.random.default_rng(3)
+    for smesh, tgrid in solver_grids:
+        dofmap = elliptic.assemble(spec, smesh, tgrid).dofmap
+        _, _, (p_free, q_free, q_fixed, q_fixed_values) = _flat_index_assembly(spec, smesh, tgrid)
+        x = rng.standard_normal(dofmap.size)
+        p, q = dofmap.scatter(x)
+        assert np.array_equal(dofmap.gather(p, q), x)
+        assert np.array_equal(p.ravel()[p_free], x[: dofmap.n_p])
+        assert np.array_equal(q.ravel()[q_free], x[dofmap.n_p :])
+        assert np.count_nonzero(p) == p_free.size
+        assert np.array_equal(q[:, [0, -1]], dofmap.q_boundary)
+        np.testing.assert_allclose(q.ravel()[q_fixed], q_fixed_values, rtol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 0.6, 1.0, 1e2, 1e4])
