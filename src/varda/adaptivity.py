@@ -68,7 +68,8 @@ class AdaptConfig:
 
     strategy MAX bisects the single worst interval per cycle; DOERFLER
     bisects a minimal set carrying at least theta_mark of the total squared
-    indicator.
+    indicator.  Errors name the CLI keys (adapt.theta for theta_mark), since
+    `varda adapt` reports them as they are.
     """
 
     strategy: str = "MAX"
@@ -79,14 +80,16 @@ class AdaptConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, use MAX or DOERFLER")
+            raise ValueError(
+                f"unknown adapt.strategy {self.strategy!r}, use MAX or DOERFLER"
+            )
         if not 0.0 < self.theta_mark < 1.0:
-            raise ValueError(f"theta_mark must lie in (0, 1), got {self.theta_mark}")
+            raise ValueError(f"adapt.theta must lie in (0, 1), got {self.theta_mark}")
         if self.n_initial < 1:
-            raise ValueError(f"n_initial must be at least 1, got {self.n_initial}")
+            raise ValueError(f"adapt.n_initial must be at least 1, got {self.n_initial}")
         if self.n_initial > self.n_max:
             raise ValueError(
-                f"n_initial {self.n_initial} exceeds n_max {self.n_max}"
+                f"adapt.n_initial {self.n_initial} exceeds adapt.n_max {self.n_max}"
             )
 
 

@@ -43,17 +43,6 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_THRESHOLD = 3
 
-# Problems reachable from a config.  The four catalog entries plus the
-# consistent-data problem, which the adapt and oracle-check commands need
-# as their trivial baseline.
-_PROBLEM_PARAMS = {
-    "example1i": ("alpha", "nu"),
-    "example1ii": ("alpha", "nu"),
-    "example2": ("alpha", "nu", "eps"),
-    "example3": ("alpha", "nu", "eps", "m"),
-    "consistent": ("alpha", "nu"),
-}
-
 _TABLE1_ALPHAS = (0.01, 0.1, 0.25, 0.5, 1.0, 3.0, 10.0)
 _TABLE1_TARGETS = {
     "example1i": {
@@ -191,8 +180,8 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.name not in _PROBLEM_PARAMS:
-        known = ", ".join(sorted(_PROBLEM_PARAMS))
+    if cfg.name not in problems.CATALOG:
+        known = ", ".join(sorted(problems.CATALOG))
         raise CliError(f"unknown problem {cfg.name!r}; known problems: {known}")
     for field_name, label in (("alpha", "problem.alpha"), ("nu", "problem.nu"), ("eps", "problem.eps")):
         value = getattr(cfg, field_name)
@@ -208,7 +197,7 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"theta_scheme must lie in [0, 1], got {cfg.theta_scheme}")
     if not cfg.levels or any(n < 2 for n in cfg.levels):
         raise CliError(f"oracle.levels must be integers >= 2, got {cfg.levels}")
-    allowed = _PROBLEM_PARAMS[cfg.name]
+    allowed = problems.CATALOG[cfg.name]
     for param in ("alpha", "nu", "eps", "m"):
         if getattr(cfg, param) is not None and param not in allowed:
             raise CliError(f"problem {cfg.name!r} does not take problem.{param}")
@@ -218,18 +207,13 @@ def resolve_problem(cfg: RunConfig):
     """Instantiate the configured problem; returns (spec, exact_p or None)."""
     kwargs = {
         param: getattr(cfg, param)
-        for param in _PROBLEM_PARAMS[cfg.name]
+        for param in problems.CATALOG[cfg.name]
         if getattr(cfg, param) is not None
     }
     try:
-        if cfg.name == "consistent":
-            spec = problems.consistent_problem(**kwargs)
-            exact_p = None
-        else:
-            spec, exact_p = problems.build(cfg.name, **kwargs)
+        return problems.build(cfg.name, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return spec, exact_p
 
 
 def _fmt(x: float) -> str:

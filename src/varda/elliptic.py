@@ -23,10 +23,10 @@ the whole operator is two Kronecker products,
 with Mt, Kt the temporal mass and stiffness on the (possibly non-uniform)
 time grid, Kt_NN its leading N x N block, Mt_N: its first N rows and Mt_:N
 its first N columns, e0 the t = 0 node, and M_I, K_I the spatial mass and
-K_hat = K_a + M_a0 on the interior nodes.  The known q boundary values Q_B
-(one column per spatial end) are lifted to the right-hand side through the
-same two time factors and the interior-row, boundary-column blocks of M and
-K_hat.
+stiffness K_hat (fem1d's K, diffusion plus reaction) on the interior nodes.
+The known q boundary values Q_B (one column per spatial end) are lifted to
+the right-hand side through the same two time factors and the interior-row,
+boundary-column blocks of M and K_hat.
 
 solve_sparse never factors A.  Because A is a sum of two Kronecker products,
 the tensor-product direct method of Lynch, Rice & Thomas (Numer. Math. 6,
@@ -68,7 +68,6 @@ __all__ = [
     "EllipticSolverError",
     "assemble",
     "solve_sparse",
-    "residual_check",
 ]
 
 
@@ -127,8 +126,8 @@ class AssembledSystem:
     """Sparse operator and load over the free dofs, plus their dof map.
 
     The 1-D matrices behind A's two Kronecker products come along for the
-    solver: k_hat_inner and m_inner are K_a + M_a0 and M on the interior
-    spatial nodes (dense), mt and kt the temporal mass and stiffness.
+    solver: k_hat_inner and m_inner are the spatial K and M on the interior
+    nodes (dense), mt and kt the temporal mass and stiffness.
     """
 
     A: sp.csr_array
@@ -184,14 +183,10 @@ def assemble(
 ) -> AssembledSystem:
     """Assemble A = T_M (x) M_I + T_K (x) K_I and its load on the free dofs.
 
-    Raises ValueError for a non-positive trust coefficient or degenerate
-    grids (the coupled system needs at least one interval in time and one
-    interior node in space).
+    Raises ValueError for a spatial mesh without an interior node.  The
+    trust coefficient and the time grid need no check here: ProblemSpec
+    requires alpha > 0 and every TimeGrid has at least one interval.
     """
-    if not problem.alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {problem.alpha}")
-    if tgrid.N < 1:
-        raise ValueError("need at least one time interval")
     if smesh.d < 2:
         raise ValueError("need at least one interior spatial node")
 
@@ -199,7 +194,7 @@ def assemble(
     mats = fem1d.assemble_spatial_matrices(
         smesh, problem.a, problem.a0, quad_order=quad_order
     )
-    m, k_hat = mats.M, mats.K_a + mats.M_a0
+    m, k_hat = mats.M, mats.K
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
 
     e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
@@ -297,13 +292,3 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
         q=SpaceTimeField(tgrid, smesh, q_vals),
         solver_residual=residual,
     )
-
-
-def residual_check(system: AssembledSystem, sol: EllipticSolution) -> float:
-    """Relative algebraic residual of a solution against its system.
-
-    This is the fully discrete counterpart of Galerkin orthogonality: a
-    converged solution leaves no component of the load in the test space.
-    """
-    x = system.dofmap.gather(sol.p.values, sol.q.values)
-    return _relative_residual(system.A, x, system.b)

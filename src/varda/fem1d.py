@@ -58,14 +58,13 @@ class ElementMatrices:
 class SpatialOperatorMatrices:
     """Global sparse matrices for the spatial operator on one mesh.
 
-    M is the plain mass matrix, K_a the diffusion stiffness weighted by
-    a(x), and M_a0 the mass matrix weighted by the reaction coefficient
-    a0(x).  All three are symmetric.
+    M is the plain mass matrix and K the stiffness of -(a v')' + a0 v: the
+    diffusion stiffness weighted by a(x) plus the mass matrix weighted by
+    the reaction coefficient a0(x).  Both are symmetric.
     """
 
     M: sp.csr_array
-    K_a: sp.csr_array
-    M_a0: sp.csr_array
+    K: sp.csr_array
 
 
 def element_matrices(length: float) -> ElementMatrices:
@@ -93,9 +92,12 @@ def _finite(fun: Callable, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+# Both samplers evaluate callbacks with numpy's floating-point warnings off:
+# _finite turns a non-finite result into an error that names the callback.
 def _coefficient_at(fun: Callable, x: np.ndarray) -> np.ndarray:
     # Accepts scalar-valued or vectorized callables.
-    vals = np.asarray(fun(x), dtype=float)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fun(x), dtype=float)
     return _finite(fun, np.broadcast_to(vals, x.shape))
 
 
@@ -108,7 +110,8 @@ def sample(fun: Callable, t, x) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    vals = fun(t.reshape(t.shape + (1,) * x.ndim), x.reshape((1,) * t.ndim + x.shape))
+    with np.errstate(all="ignore"):
+        vals = fun(t.reshape(t.shape + (1,) * x.ndim), x.reshape((1,) * t.ndim + x.shape))
     return _finite(fun, np.broadcast_to(np.asarray(vals, dtype=float), t.shape + x.shape))
 
 
@@ -191,7 +194,7 @@ def assemble_spatial_matrices(
     a0: Callable,
     quad_order: int = 3,
 ) -> SpatialOperatorMatrices:
-    """Assemble M, K_a and M_a0 for the operator -(a v')' + a0 v.
+    """Assemble M and K for the operator -(a v')' + a0 v.
 
     The diffusion coefficient must be positive at every quadrature point;
     that is the discrete counterpart of uniform ellipticity and is checked
@@ -231,6 +234,4 @@ def assemble_spatial_matrices(
     def _build(data) -> sp.csr_array:
         return sp.coo_array((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
 
-    return SpatialOperatorMatrices(
-        M=_build(m_data), K_a=_build(k_data), M_a0=_build(m0_data)
-    )
+    return SpatialOperatorMatrices(M=_build(m_data), K=_build(k_data) + _build(m0_data))

@@ -62,9 +62,8 @@ class _InteriorOperator:
             smesh, problem.a, problem.a0, quad_order=quad_order
         )
         self.M_full = mats.M
-        k_hat = (mats.K_a + mats.M_a0).tocsr()
         self.M = mats.M[1:-1, :][:, 1:-1].tocsr()
-        self.K = k_hat[1:-1, :][:, 1:-1].tocsr()
+        self.K = mats.K[1:-1, :][:, 1:-1].tocsr()
         self._solvers: dict[float, Callable] = {}
 
     def stepper(self, coef: float) -> Callable:

@@ -10,7 +10,6 @@ be shared freely between threads and history records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "build_time_grid",
     "bisect_intervals",
     "format_time_grid",
-    "read_time_grid",
 ]
 
 
@@ -175,19 +173,3 @@ def format_time_grid(grid: TimeGrid) -> str:
     """Render a grid as text, one node per line."""
     lines = [f"{t:.17g}" for t in grid.taus]
     return "\n".join(lines) + "\n"
-
-
-def read_time_grid(path) -> TimeGrid:
-    """Read a grid file, ignoring blank lines and '#' comments."""
-    nodes = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            nodes.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"bad grid line {raw!r} in {path}") from exc
-    if len(nodes) < 2:
-        raise ValueError(f"grid file {path} holds fewer than two nodes")
-    return build_time_grid(np.array(nodes))

@@ -33,10 +33,24 @@ __all__ = [
     "bump_sigma_dt",
     "bump_sigma_dtt",
     "build",
-    "CATALOG_NAMES",
+    "CATALOG",
 ]
 
-CATALOG_NAMES = ("example1i", "example1ii", "example2", "example3")
+# Problem name -> the keyword parameters build passes on to its constructor.
+CATALOG = {
+    "example1i": ("alpha", "nu"),
+    "example1ii": ("alpha", "nu"),
+    "example2": ("alpha", "nu", "eps"),
+    "example3": ("alpha", "nu", "eps", "m"),
+    "consistent": ("alpha", "nu"),
+}
+
+
+def _require_positive(**params: float) -> None:
+    # alpha is left to ProblemSpec, which checks it for every problem.
+    for name, value in params.items():
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _zero(t, x):
@@ -63,8 +77,7 @@ def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    if alpha <= 0.0 or nu <= 0.0:
-        raise ValueError("alpha and nu must be positive")
+    _require_positive(nu=nu)
     rate = np.pi * np.pi * nu
 
     def y_d(t, x):
@@ -138,8 +151,7 @@ def example2(alpha: float = 0.01, nu: float = 0.1, eps: float = 0.01) -> Problem
     belong to alpha = 0.6, which acceptance criterion 2 and
     `varda reproduce example2` use instead.
     """
-    if alpha <= 0.0 or nu <= 0.0 or eps <= 0.0:
-        raise ValueError("alpha, nu and eps must be positive")
+    _require_positive(nu=nu, eps=eps)
     rate = np.pi * np.pi * nu
     y_d = example2_data(nu, eps)
     inflow = example2_inflow(nu, eps)
@@ -241,8 +253,7 @@ def example3(
     The ramp itself spans [m - eps/2, m + eps/2]; the check below requires
     the wider interval [m - eps, m + eps] to sit inside the horizon.
     """
-    if alpha <= 0.0 or nu <= 0.0 or eps <= 0.0:
-        raise ValueError("alpha, nu and eps must be positive")
+    _require_positive(nu=nu, eps=eps)
     if not (0.0 <= m - eps and m + eps <= 1.0):
         raise ValueError(
             f"the ramp [{m - eps}, {m + eps}] must sit inside the horizon [0, 1]"
@@ -314,7 +325,7 @@ def build(name: str, **params) -> tuple[ProblemSpec, Callable | None]:
     """Construct a catalog problem by CLI name.
 
     Returns the problem and, when one exists, the exact adjoint closure.
-    Unknown parameters for the chosen problem are rejected.
+    Parameters outside the name's CATALOG entry raise TypeError.
     """
     if name == "example1i":
         return example1("i", **params), None
@@ -324,4 +335,6 @@ def build(name: str, **params) -> tuple[ProblemSpec, Callable | None]:
         return example2(**params), None
     if name == "example3":
         return example3(**params)
-    raise ValueError(f"unknown problem {name!r}, known: {', '.join(CATALOG_NAMES)}")
+    if name == "consistent":
+        return consistent_problem(**params), None
+    raise ValueError(f"unknown problem {name!r}, known: {', '.join(CATALOG)}")

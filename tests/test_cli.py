@@ -8,6 +8,10 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def read_grid(path):
+    return mesh.build_time_grid(np.loadtxt(path, ndmin=1))
+
+
 def test_parse_config_text_skips_noise_and_keeps_last_value():
     pairs = cli.parse_config_text(
         "# run setup\n\nproblem.name = example2\ngrid.N=8\ngrid.N=12\n"
@@ -64,7 +68,7 @@ def test_assimilate_writes_the_documented_files(tmp_path):
     assert summary["d"] == "8" and summary["N"] == "6"
     assert float(summary["rmse"]) <= 5e-3
 
-    grid = mesh.read_time_grid(out / "grid.txt")
+    grid = read_grid(out / "grid.txt")
     assert grid.N == 6
     assert len((out / "mesh.txt").read_text().splitlines()) == 9
 
@@ -120,7 +124,6 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         ("oracle-check", "oracle.levels=10,200"),
         ("adapt", "adapt.strategy=NEWEST"),
         ("adapt", "adapt.n_initial=9", "adapt.n_max=5"),
-        ("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
         ("assimilate", "seed=3"),
         ("assimilate", "grid.T=1.0"),
         # The data overflow to inf at the pulse and must not reach the output.
@@ -131,6 +134,16 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         assert run(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "nan" / "summary.txt").exists()
+    # Messages name the config key or the parameter that was set.
+    named = [
+        (("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
+         "error: adapt.theta must lie in (0, 1), got 1.0\n"),
+        (("assimilate", "problem.name=example2", "problem.nu=inf"),
+         "error: nu must be finite and positive, got inf\n"),
+    ]
+    for argv, message in named:
+        assert run(*argv) == 1, argv
+        assert capsys.readouterr().err == message
 
 
 def test_solver_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
@@ -177,7 +190,7 @@ def test_adapt_on_consistent_data_writes_a_single_row(tmp_path):
     lines = (out / "history.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0,5,0")
-    assert mesh.read_time_grid(out / "grid.txt").N == 5
+    assert read_grid(out / "grid.txt").N == 5
 
 
 def test_adapt_snapshots_and_reference_errors(tmp_path):
@@ -190,8 +203,8 @@ def test_adapt_snapshots_and_reference_errors(tmp_path):
     assert code == 0
     snaps = sorted(out.glob("grid_cycle*.txt"))
     assert [s.name for s in snaps] == [f"grid_cycle{i:03d}.txt" for i in range(4)]
-    assert mesh.read_time_grid(snaps[0]).N == 4
-    assert mesh.read_time_grid(snaps[-1]).N == 7
+    assert read_grid(snaps[0]).N == 4
+    assert read_grid(snaps[-1]).N == 7
 
     lines = (out / "error_vs_N.csv").read_text().splitlines()
     assert lines[0] == "N,eta_total,adaptive_error,uniform_error"

@@ -97,7 +97,9 @@ def test_manufactured_adjoint_error_decreases_with_refinement():
 
 def test_solver_residual_contract(ex1i_system, ex1i_solution):
     assert ex1i_solution.solver_residual <= 1e-10
-    assert elliptic.residual_check(ex1i_system, ex1i_solution) <= 1e-10
+    A, b = ex1i_system.A, ex1i_system.b
+    x = ex1i_system.dofmap.gather(ex1i_solution.p.values, ex1i_solution.q.values)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 _TRACE_RATE = np.pi * np.pi * 0.01
@@ -205,7 +207,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
     q_fixed_values = -nodal(spec.y_d, tgrid.taus, smesh.nodes[ends]).ravel()
 
     mats = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=quad_order)
-    k_hat = (mats.K_a + mats.M_a0).tocsr()
+    k_hat = mats.K
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
     e00 = sp.coo_array(([1.0], ([0], [0])), shape=(N + 1, N + 1))
     a_pp = (sp.kron(kt, mats.M) + sp.kron(e00, k_hat + mats.M / spec.alpha)).tocsr()

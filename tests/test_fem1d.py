@@ -61,6 +61,16 @@ def _hat(nodes, i):
     return phi
 
 
+def _hat_slope(nodes, i):
+    slopes = np.diff(np.eye(nodes.size)[i]) / np.diff(nodes)
+
+    def dphi(x):
+        cell = np.searchsorted(nodes, x, side="right") - 1
+        return slopes[np.clip(cell, 0, slopes.size - 1)]
+
+    return dphi
+
+
 def test_spatial_matrices_against_direct_quadrature():
     sm = mesh.build_spatial_mesh(0.0, 1.0, 6)
     a = lambda x: 0.3 + np.zeros_like(np.asarray(x, dtype=float))
@@ -69,10 +79,17 @@ def test_spatial_matrices_against_direct_quadrature():
     breaks = list(sm.nodes[1:-1])
     for i, j in [(0, 0), (2, 2), (2, 3), (3, 2), (6, 6), (1, 4)]:
         phi_i, phi_j = _hat(sm.nodes, i), _hat(sm.nodes, j)
-        ref, _ = quad(lambda x: x * phi_i(x) * phi_j(x), 0.0, 1.0, points=breaks, limit=200)
-        assert mats.M_a0[i, j] == pytest.approx(ref, abs=1e-12)
+        dphi_i, dphi_j = _hat_slope(sm.nodes, i), _hat_slope(sm.nodes, j)
+        ref_a, _ = quad(lambda x: 0.3 * dphi_i(x) * dphi_j(x), 0.0, 1.0, points=breaks, limit=200)
+        ref_a0, _ = quad(lambda x: x * phi_i(x) * phi_j(x), 0.0, 1.0, points=breaks, limit=200)
+        assert mats.K[i, j] == pytest.approx(ref_a + ref_a0, abs=1e-12)
         ref_m, _ = quad(lambda x: phi_i(x) * phi_j(x), 0.0, 1.0, points=breaks, limit=200)
         assert mats.M[i, j] == pytest.approx(ref_m, abs=1e-12)
+    # Constants lie in the diffusion kernel, so K's row sums are the
+    # reaction part alone: the integrals of x against each hat.
+    for i in range(sm.d + 1):
+        ref, _ = quad(lambda x: x * _hat(sm.nodes, i)(x), 0.0, 1.0, points=breaks, limit=200)
+        assert mats.K[[i], :].sum() == pytest.approx(ref, abs=1e-12)
 
 
 def test_constant_diffusion_scales_the_stiffness():
@@ -82,8 +99,8 @@ def test_constant_diffusion_scales_the_stiffness():
     a0 = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     mats = fem1d.assemble_spatial_matrices(sm, a, a0)
     _, stiffness = fem1d.assemble_line_matrices(sm.nodes)
-    assert np.abs((mats.K_a - nu * stiffness).toarray()).max() <= 1e-15
-    assert mats.M_a0.nnz == 0 or np.abs(mats.M_a0.toarray()).max() == 0.0
+    # Zero reaction adds nothing, so K is the scaled stiffness alone.
+    assert np.abs((mats.K - nu * stiffness).toarray()).max() <= 1e-15
 
 
 def test_spatial_matrices_are_symmetric_and_positive():
@@ -91,18 +108,22 @@ def test_spatial_matrices_are_symmetric_and_positive():
     a = lambda x: 1.0 + 0.5 * np.sin(np.pi * np.asarray(x, dtype=float))
     a0 = lambda x: np.asarray(x, dtype=float) ** 2
     mats = fem1d.assemble_spatial_matrices(sm, a, a0)
-    for mat in (mats.M, mats.K_a, mats.M_a0):
+    # The same mesh with a0 = 0 isolates the diffusion part of K.
+    diffusion = fem1d.assemble_spatial_matrices(sm, a, lambda x: 0.0 * np.asarray(x)).K
+    reaction = mats.K - diffusion
+    for mat in (mats.M, mats.K, diffusion, reaction):
         dense = mat.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-15
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(sm.d + 1)
         assert v @ (mats.M @ v) > 0.0
-        assert v @ (mats.K_a @ v) >= -1e-13
-        assert v @ (mats.M_a0 @ v) >= -1e-13
+        assert v @ (mats.K @ v) > 0.0
+        assert v @ (diffusion @ v) >= -1e-13
+        assert v @ (reaction @ v) >= -1e-13
 
 
-@pytest.mark.parametrize("name", problems.CATALOG_NAMES)
+@pytest.mark.parametrize("name", problems.CATALOG)
 def test_sample_matches_the_per_slice_loop(name):
     spec, _ = problems.build(name)
     taus = np.array([0.0, 0.1, 1.0 / 6.0, 0.45, 0.5, 0.8, 1.0])

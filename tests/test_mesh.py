@@ -87,26 +87,8 @@ def test_grid_file_round_trip(tmp_path):
     tg = mesh.build_time_grid([0.0, 1.0 / 3.0, 0.5, 1.0])
     path = tmp_path / "grid.txt"
     path.write_text(mesh.format_time_grid(tg))
-    back = mesh.read_time_grid(path)
+    back = mesh.build_time_grid(np.loadtxt(path, ndmin=1))
     np.testing.assert_array_equal(back.taus, tg.taus)
-
-
-def test_grid_file_skips_comments_and_blanks(tmp_path):
-    path = tmp_path / "grid.txt"
-    path.write_text("# refined grid\n0.0\n\n0.5\n1.0\n")
-    tg = mesh.read_time_grid(path)
-    assert tg.N == 2
-    short = tmp_path / "short.txt"
-    short.write_text("# only one node\n1.0\n")
-    with pytest.raises(ValueError, match="fewer than two"):
-        mesh.read_time_grid(short)
-
-
-def test_grid_file_rejects_garbage(tmp_path):
-    path = tmp_path / "grid.txt"
-    path.write_text("0.0\nnot-a-number\n1.0\n")
-    with pytest.raises(ValueError, match="bad grid line"):
-        mesh.read_time_grid(path)
 
 
 def test_grid_format_is_full_precision():

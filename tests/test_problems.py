@@ -122,7 +122,7 @@ def test_example3_exact_adjoint_boundary_behavior():
 
 def test_all_catalog_data_are_mirror_symmetric():
     xs = np.linspace(0.0, 1.0, 17)
-    for name in problems.CATALOG_NAMES:
+    for name in problems.CATALOG:
         spec, _ = problems.build(name)
         for t in (0.0, 0.45, 1.0):
             np.testing.assert_allclose(
@@ -149,17 +149,34 @@ def test_consistent_problem_guess_matches_the_data_at_start():
 
 
 def test_build_routes_names_and_rejects_unknown_ones():
-    assert problems.CATALOG_NAMES == ("example1i", "example1ii", "example2", "example3")
-    for name in problems.CATALOG_NAMES:
+    assert list(problems.CATALOG) == ["example1i", "example1ii", "example2", "example3", "consistent"]
+    # Valid for every problem, so the constructor must accept whatever its
+    # table entry lists.
+    values = {"alpha": 0.5, "nu": 0.1, "eps": 0.25, "m": 0.5}
+    for name, params in problems.CATALOG.items():
         spec, exact = problems.build(name)
         assert spec.T == 1.0
         assert (exact is not None) == (name == "example3")
+        spec, _ = problems.build(name, **{p: values[p] for p in params})
+        assert spec.alpha == 0.5
+    consistent, _ = problems.build("consistent")
+    xs = np.linspace(0.0, 1.0, 5)
+    np.testing.assert_array_equal(consistent.y_b(xs), problems.consistent_problem().y_b(xs))
     spec, _ = problems.build("example2", eps=0.05)
     assert spec.alpha == 0.01
     with pytest.raises(ValueError, match="example1i"):
         problems.build("example9")
     with pytest.raises(TypeError):
         problems.build("example1i", eps=0.3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_problem_parameters_must_be_finite_and_positive(value):
+    for name, params in problems.CATALOG.items():
+        for param in ("nu", "eps"):
+            if param in params:
+                with pytest.raises(ValueError, match=f"^{param} must be finite and positive"):
+                    problems.build(name, **{param: value})
 
 
 def test_problem_spec_rejects_a_mismatched_time_derivative():
