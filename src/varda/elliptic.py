@@ -28,7 +28,9 @@ The known q boundary values Q_B (one column per spatial end) are lifted to
 the right-hand side through the same two time factors and the interior-row,
 boundary-column blocks of M and K_hat.
 
-solve_sparse never factors A.  Because A is a sum of two Kronecker products,
+Only the four 1-D factors are stored; A is built when something reads it.
+solve_sparse never forms A: its residuals use vec(T_M X M_I^T + T_K X K_I^T),
+X the time-major reshape of x, and since A is a sum of two Kronecker products
 the tensor-product direct method of Lynch, Rice & Thomas (Numer. Math. 6,
 1964) applies exactly.  One generalized eigenproblem K_I V = M_I V diag(lam)
 with V^T M_I V = I turns both spatial factors diagonal, so the system splits
@@ -49,6 +51,7 @@ factored at once as one block-diagonal band.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -123,21 +126,24 @@ class DofMap:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse operator and load over the free dofs, plus their dof map.
+    """A's 1-D factors T_M, T_K, M_I, K_I, the load on the free dofs, and their dof map."""
 
-    The 1-D matrices behind A's two Kronecker products come along for the
-    solver: k_hat_inner and m_inner are the spatial K and M on the interior
-    nodes (dense), mt and kt the temporal mass and stiffness.
-    """
-
-    A: sp.csr_array
+    t_m: sp.csr_array
+    t_k: sp.csr_array
+    m_inner: sp.csr_array
+    k_inner: sp.csr_array
     b: np.ndarray
     dofmap: DofMap
-    k_hat_inner: np.ndarray
-    m_inner: np.ndarray
-    mt: sp.csr_array
-    kt: sp.csr_array
-    alpha: float
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A @ x without forming A."""
+        X = x.reshape(self.t_m.shape[0], self.m_inner.shape[0])
+        return (self.t_m @ X @ self.m_inner.T + self.t_k @ X @ self.k_inner.T).ravel()
+
+    @cached_property
+    def A(self) -> sp.csr_array:
+        """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read."""
+        return (sp.kron(self.t_m, self.m_inner) + sp.kron(self.t_k, self.k_inner)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def assemble(
     tgrid: TimeGrid,
     quad_order: int = 3,
 ) -> AssembledSystem:
-    """Assemble A = T_M (x) M_I + T_K (x) K_I and its load on the free dofs.
+    """Assemble the 1-D factors of A = T_M (x) M_I + T_K (x) K_I and its free-dof load.
 
     Raises ValueError for a spatial mesh without an interior node.  The
     trust coefficient and the time grid need no check here: ProblemSpec
@@ -200,8 +206,6 @@ def assemble(
     e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
     t_m = sp.block_diag([kt[:N, :N] + e0 / problem.alpha, mt], format="csr")
     t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
-    m_inner, k_inner = m[1:-1, 1:-1], k_hat[1:-1, 1:-1]
-    A = (sp.kron(t_m, m_inner) + sp.kron(t_k, k_inner)).tocsr()
 
     # Lift the known q boundary values through the same two factors; the
     # column slice ::d keeps the two boundary columns 0 and d.
@@ -213,40 +217,32 @@ def assemble(
     )
     b[:N] += _data_load(problem, smesh, tgrid, quad_order)[:N, 1:-1]
     return AssembledSystem(
-        A=A,
+        t_m=t_m,
+        t_k=t_k,
+        m_inner=m[1:-1, 1:-1],
+        k_inner=k_hat[1:-1, 1:-1],
         b=b.ravel(),
         dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
-        k_hat_inner=k_inner.toarray(),
-        m_inner=m_inner.toarray(),
-        mt=mt,
-        kt=kt,
-        alpha=float(problem.alpha),
     )
 
 
-def _relative_residual(A: sp.csr_array, x: np.ndarray, b: np.ndarray) -> float:
-    r = b - A @ x
-    norm_b = float(np.linalg.norm(b))
-    norm_r = float(np.linalg.norm(r))
-    return norm_r / norm_b if norm_b > 0.0 else norm_r
-
-
 def _factor(system: AssembledSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """Fast-diagonalization factors of system.A, as a solve for A x = r.
+    """Fast-diagonalization factors of the system's operator, as a solve for A x = r.
 
     See the module docstring for the per-mode reduction.  Raises LinAlgError
     when a factorization meets a matrix that is not positive definite.
     """
-    lam, V = la.eigh(system.k_hat_inner, system.m_inner)
+    lam, V = la.eigh(system.k_inner.toarray(), system.m_inner.toarray())
     N, n = system.dofmap.tgrid.N, lam.size
-    mt, kt = system.mt, system.kt
+    t_m, mt = system.t_m, system.t_m[N:, N:]
 
     # Upper band of every mode matrix, modes one after another; the first
     # superdiagonal slot of each mode stays zero, which decouples the modes.
-    diag = kt.diagonal()[:N] + np.outer(lam * lam, mt.diagonal()[:N])
-    diag[:, 0] += lam + 1.0 / system.alpha
+    # The p block of t_m is Kt_NN with 1/alpha already on its first diagonal entry.
+    diag = t_m.diagonal()[:N] + np.outer(lam * lam, mt.diagonal()[:N])
+    diag[:, 0] += lam
     sup = np.zeros((n, N))
-    sup[:, 1:] = kt.diagonal(1)[: N - 1] + np.outer(lam * lam, mt.diagonal(1)[: N - 1])
+    sup[:, 1:] = t_m.diagonal(1)[: N - 1] + np.outer(lam * lam, mt.diagonal(1)[: N - 1])
     modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
     mass = la.cholesky_banded(np.stack([np.r_[0.0, mt.diagonal(1)], mt.diagonal()]))
 
@@ -266,19 +262,19 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
     """Direct tensor-product solve with one step of iterative refinement.
 
     The contract is a relative residual of at most 1e-10 (absolute 1e-12
-    for a zero load), measured against the assembled A; anything worse, or
-    a residual that is not a number, raises EllipticSolverError instead of
-    returning a silently inaccurate solution.
+    for a zero load), measured with the matrix-free product system.apply;
+    anything worse, or a residual that is not a number, raises
+    EllipticSolverError instead of returning a silently inaccurate solution.
     """
-    A, b = system.A, system.b
+    b = system.b
     try:
         solve = _factor(system)
     except la.LinAlgError as exc:
         raise EllipticSolverError(f"tensor factorization failed: {exc}") from exc
     x = solve(b)
-    x += solve(b - A @ x)
+    x += solve(b - system.apply(x))
 
-    residual = _relative_residual(A, x, b)
+    residual = float(np.linalg.norm(b - system.apply(x))) / (float(np.linalg.norm(b)) or 1.0)
     contract = 1e-10 if np.any(b) else 1e-12
     if not residual <= contract:
         raise EllipticSolverError(

@@ -214,7 +214,7 @@ def assemble_spatial_matrices(
     left = np.arange(ne)
     conn = np.stack([left, left + 1])
 
-    m_el = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    m_el = element_matrices(h).mass
     k_scale = (a_vals @ gw) / (2.0 * h)
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

@@ -227,6 +227,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
 @pytest.mark.parametrize("alpha", [1e-2, 1e4])
 def test_assembly_matches_the_flat_index_construction(alpha, solver_grids):
     specs = (problems.example2(), _variable_coefficient_problem(), _nonzero_trace_problem())
+    rng = np.random.default_rng(11)
     for spec in specs:
         for smesh, tgrid in solver_grids:
             spec_a = replace(spec, alpha=alpha)
@@ -235,6 +236,8 @@ def test_assembly_matches_the_flat_index_construction(alpha, solver_grids):
             assert system.A.nnz == A.nnz
             assert abs(system.A - A).max() <= 1e-15 * abs(A).max()
             assert np.linalg.norm(system.b - b) <= 1e-14 * np.linalg.norm(b)
+            x = rng.standard_normal(b.size)
+            assert np.linalg.norm(system.apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
 
 
 def test_dofmap_slices_match_the_flat_node_ids(solver_grids):
@@ -267,21 +270,31 @@ def test_tensor_solve_agrees_with_sparse_lu(alpha, solver_grids):
 
 def test_assimilation_runs_without_splu(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("splu called")
+        raise AssertionError("splu or kron called")
+
+    solved, solve_sparse = [], elliptic.solve_sparse
+
+    def record(system):
+        solved.append(system)
+        return solve_sparse(system)
 
     monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(sp, "kron", refuse)
+    monkeypatch.setattr(elliptic, "solve_sparse", record)
     spec = problems.example2()
     result = assimilation.assimilate(
         spec, mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 20)
     )
     assert np.all(np.isfinite(result.u))
+    assert len(solved) == 1
+    assert "A" not in vars(solved[0])
 
 
 def test_singular_mass_block_raises_a_solver_error(ex1i_system):
-    singular = replace(ex1i_system, m_inner=np.zeros_like(ex1i_system.m_inner))
+    singular = replace(ex1i_system, m_inner=0.0 * ex1i_system.m_inner)
     with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
         elliptic.solve_sparse(singular)
-    flat_mt = ex1i_system.mt.copy()
-    flat_mt.data[:] = 0.0
+    N, t_m = ex1i_system.dofmap.tgrid.N, ex1i_system.t_m
+    flat_mt = sp.block_diag([t_m[:N, :N], 0.0 * t_m[N:, N:]], format="csr")
     with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
-        elliptic.solve_sparse(replace(ex1i_system, mt=flat_mt))
+        elliptic.solve_sparse(replace(ex1i_system, t_m=flat_mt))
