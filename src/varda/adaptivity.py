@@ -128,16 +128,22 @@ def compute_indicators(
 
     When sol is given, the elementwise contributions of the discrete
     solution enter the integrand: p_tt is identically zero on linear
-    elements, and A q reduces to the first-order part a'(x) q_x minus
-    nothing plus a0(x) q, the second derivative of q vanishing per element.
-    For constant diffusion and zero reaction these contributions vanish and
-    the result matches the data-only route exactly.
+    elements, and on each element q_xx = 0, so A q = -a'(x) q_x + a0(x) q
+    and the integrand gains -A q.  For constant diffusion and zero reaction
+    these contributions vanish and the result matches the data-only route
+    exactly.  sol must live on smesh and tgrid; other grids raise
+    ValueError.
 
     Each interval is integrated with composite Gauss over fixed sub-panels:
     early in a refinement run the intervals are much wider than the data
     features they are supposed to detect, and a single rule per interval
     can miss a spike entirely and misrank the intervals.
     """
+    if sol is not None and not (
+        np.array_equal(sol.q.tgrid.taus, tgrid.taus)
+        and np.array_equal(sol.q.smesh.nodes, smesh.nodes)
+    ):
+        raise ValueError("solution and indicator live on different grids")
     quad = fem1d.spatial_quadrature(smesh, quad_order)
     xg, h = quad.x, smesh.h
     t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
@@ -196,9 +202,7 @@ def _reference_solver(
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
     ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order)
     reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
-    mass = fem1d.assemble_spatial_matrices(
-        smesh, problem.a, problem.a0, quad_order=quad_order
-    ).M
+    mass = ref_sys.space.M
 
     def solve_with_error(tgrid: TimeGrid) -> tuple[elliptic.EllipticSolution, float]:
         system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order)

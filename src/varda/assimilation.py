@@ -183,7 +183,7 @@ def assimilate(
     u[inner] = fem1d._coefficient_at(problem.y_b, smesh.nodes[inner]) - p0[inner] / problem.alpha
 
     cfg = forward.ThetaSchemeConfig(theta=theta, tgrid=tgrid)
-    y = forward.solve_state(problem, u, cfg, smesh, quad_order=quad_order)
+    y = forward.solve_state(problem, u, cfg, system.space)
 
     return AssimilationResult(
         p=sol.p,

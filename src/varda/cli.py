@@ -195,8 +195,8 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"quad_order must be 1, 2 or 3, got {cfg.quad_order}")
     if not 0.0 <= cfg.theta_scheme <= 1.0:
         raise CliError(f"theta_scheme must lie in [0, 1], got {cfg.theta_scheme}")
-    if not cfg.levels or any(n < 2 for n in cfg.levels):
-        raise CliError(f"oracle.levels must be integers >= 2, got {cfg.levels}")
+    if len(cfg.levels) < 2 or any(n < 2 for n in cfg.levels):
+        raise CliError(f"oracle.levels must list at least two integers >= 2, got {cfg.levels}")
     allowed = problems.CATALOG[cfg.name]
     for param in ("alpha", "nu", "eps", "m"):
         if getattr(cfg, param) is not None and param not in allowed:
@@ -278,7 +278,8 @@ def _baseline_state(spec, smesh: mesh.SpatialMesh, tgrid: mesh.TimeGrid, cfg: Ru
     u0[0] = 0.0
     u0[-1] = 0.0
     scheme = forward.ThetaSchemeConfig(theta=cfg.theta_scheme, tgrid=tgrid)
-    return forward.solve_state(spec, u0, scheme, smesh, quad_order=cfg.quad_order)
+    space = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=cfg.quad_order)
+    return forward.solve_state(spec, u0, scheme, space)
 
 
 def _max_misfit(field_: mesh.SpaceTimeField, y_ref) -> float:
@@ -459,7 +460,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     orders = [
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)
     ]
-    observed = min(orders) if orders else float("nan")
+    observed = min(orders)
     out = _prepare_output_dir(cfg)
     lines = ["d,N,relative_control_difference,order"]
     for i, n in enumerate(cfg.levels):

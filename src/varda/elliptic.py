@@ -28,12 +28,14 @@ The known q boundary values Q_B (one column per spatial end) are lifted to
 the right-hand side through the same two time factors and the interior-row,
 boundary-column blocks of M and K_hat.
 
-Only the four 1-D factors are stored; A is built when something reads it.
-solve_sparse never forms A: its residuals use vec(T_M X M_I^T + T_K X K_I^T),
-X the time-major reshape of x, and since A is a sum of two Kronecker products
-the tensor-product direct method of Lynch, Rice & Thomas (Numer. Math. 6,
-1964) applies exactly.  One generalized eigenproblem K_I V = M_I V diag(lam)
-with V^T M_I V = I turns both spatial factors diagonal, so the system splits
+The system stores the two time factors and the fem1d.SpatialOperatorMatrices
+that holds M_I, K_I and their eigenbasis, which the theta-scheme replay
+shares; A is built only when read.  solve_sparse never forms A: its
+residuals use vec(T_M X M_I^T + T_K X K_I^T), X the time-major reshape of
+x, and since A is a sum of two Kronecker products the tensor-product direct
+method of Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies exactly.  One
+generalized eigenproblem K_I V = M_I V diag(lam) with V^T M_I V = I turns
+both spatial factors diagonal, so the system splits
 into one time problem T_M + lam T_K per spatial mode.  In mode k, the q rows
 read Mt q = b_q + lam Mt_:N p, so q = Mt^-1 b_q + lam [p; 0].  Substituting
 it into the p rows leaves
@@ -126,24 +128,24 @@ class DofMap:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """A's 1-D factors T_M, T_K, M_I, K_I, the load on the free dofs, and their dof map."""
+    """A's time factors T_M, T_K, its spatial operator, the free-dof load and dof map."""
 
     t_m: sp.csr_array
     t_k: sp.csr_array
-    m_inner: sp.csr_array
-    k_inner: sp.csr_array
+    space: fem1d.SpatialOperatorMatrices
     b: np.ndarray
     dofmap: DofMap
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x without forming A."""
-        X = x.reshape(self.t_m.shape[0], self.m_inner.shape[0])
-        return (self.t_m @ X @ self.m_inner.T + self.t_k @ X @ self.k_inner.T).ravel()
+        X, space = x.reshape(self.t_m.shape[0], -1), self.space
+        return (self.t_m @ X @ space.m_inner.T + self.t_k @ X @ space.k_inner.T).ravel()
 
     @cached_property
     def A(self) -> sp.csr_array:
         """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read."""
-        return (sp.kron(self.t_m, self.m_inner) + sp.kron(self.t_k, self.k_inner)).tocsr()
+        space = self.space
+        return (sp.kron(self.t_m, space.m_inner) + sp.kron(self.t_k, space.k_inner)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def assemble(
     tgrid: TimeGrid,
     quad_order: int = 3,
 ) -> AssembledSystem:
-    """Assemble the 1-D factors of A = T_M (x) M_I + T_K (x) K_I and its free-dof load.
+    """Assemble A = T_M (x) M_I + T_K (x) K_I as factors, and its free-dof load.
 
     Raises ValueError for a spatial mesh without an interior node.  The
     trust coefficient and the time grid need no check here: ProblemSpec
@@ -197,10 +199,9 @@ def assemble(
         raise ValueError("need at least one interior spatial node")
 
     N, d = tgrid.N, smesh.d
-    mats = fem1d.assemble_spatial_matrices(
+    space = fem1d.assemble_spatial_matrices(
         smesh, problem.a, problem.a0, quad_order=quad_order
     )
-    m, k_hat = mats.M, mats.K
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
 
     e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
@@ -212,15 +213,14 @@ def assemble(
     ends = np.array([smesh.x_left, smesh.x_right])
     q_boundary = -fem1d.sample(problem.y_d, tgrid.taus, ends)
     b = -(
-        t_m[:, N:] @ q_boundary @ m[1:-1, ::d].T
-        + t_k[:, N:] @ q_boundary @ k_hat[1:-1, ::d].T
+        t_m[:, N:] @ q_boundary @ space.M[1:-1, ::d].T
+        + t_k[:, N:] @ q_boundary @ space.K[1:-1, ::d].T
     )
     b[:N] += _data_load(problem, smesh, tgrid, quad_order)[:N, 1:-1]
     return AssembledSystem(
         t_m=t_m,
         t_k=t_k,
-        m_inner=m[1:-1, 1:-1],
-        k_inner=k_hat[1:-1, 1:-1],
+        space=space,
         b=b.ravel(),
         dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
     )
@@ -232,7 +232,7 @@ def _factor(system: AssembledSystem) -> Callable[[np.ndarray], np.ndarray]:
     See the module docstring for the per-mode reduction.  Raises LinAlgError
     when a factorization meets a matrix that is not positive definite.
     """
-    lam, V = la.eigh(system.k_inner.toarray(), system.m_inner.toarray())
+    lam, V = system.space.modes
     N, n = system.dofmap.tgrid.N, lam.size
     t_m, mt = system.t_m, system.t_m[N:, N:]
 

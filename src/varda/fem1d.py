@@ -13,9 +13,11 @@ whole tensor grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from .mesh import SpatialMesh, TimeGrid
@@ -56,15 +58,31 @@ class ElementMatrices:
 
 @dataclass(frozen=True)
 class SpatialOperatorMatrices:
-    """Global sparse matrices for the spatial operator on one mesh.
+    """The spatial operator on one mesh: global matrices, interior blocks, modes.
 
     M is the plain mass matrix and K the stiffness of -(a v')' + a0 v: the
     diffusion stiffness weighted by a(x) plus the mass matrix weighted by
-    the reaction coefficient a0(x).  Both are symmetric.
+    the reaction coefficient a0(x).  Both are symmetric.  m_inner and
+    k_inner, their interior blocks M_I and K_I, and modes are computed on
+    first read and shared by the space-time solver and the theta schemes.
     """
 
+    smesh: SpatialMesh
     M: sp.csr_array
     K: sp.csr_array
+
+    @cached_property
+    def m_inner(self) -> sp.csr_array:
+        return self.M[1:-1, 1:-1]
+
+    @cached_property
+    def k_inner(self) -> sp.csr_array:
+        return self.K[1:-1, 1:-1]
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V) with K_I V = M_I V diag(lam), V^T M_I V = I; LinAlgError unless M_I is SPD."""
+        return la.eigh(self.k_inner.toarray(), self.m_inner.toarray())
 
 
 def element_matrices(length: float) -> ElementMatrices:
@@ -234,4 +252,4 @@ def assemble_spatial_matrices(
     def _build(data) -> sp.csr_array:
         return sp.coo_array((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
 
-    return SpatialOperatorMatrices(M=_build(m_data), K=_build(k_data) + _build(m0_data))
+    return SpatialOperatorMatrices(smesh, _build(m_data), _build(k_data) + _build(m0_data))

@@ -7,6 +7,18 @@ They provide the assimilated trajectory, optimality cross-checks, and an
 independent brute-force minimizer on tiny grids that the space-time solver
 can be tested against.
 
+Both marches run in the eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I,
+that fem1d.SpatialOperatorMatrices.modes shares with the space-time solver.
+With y = V z on the interior nodes and g the modal consistent mass load of
+the source, a step over an interval dt is one division per mode:
+
+    z(j+1) = ((1 - (1-theta) dt lam) z(j) + dt (theta g(j+1) + (1-theta) g(j)))
+             / (1 + theta dt lam).
+
+Each eigenvalue is exact only to about eps * max(lam), an error the slow
+modes would compound step after step, so every march re-marches its nodal
+residual once: one step of iterative refinement, as in elliptic.solve_sparse.
+
 Adjoint source convention: stepping from time node j+1 down to j uses
 theta * g(j+1) + (1 - theta) * g(j).  With theta = 1 the backward march is
 then the exact transpose of the forward implicit Euler map in the mass
@@ -17,12 +29,10 @@ theta = 0.5 the convention coincides with the usual trapezoid rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem1d
 from .mesh import SpaceTimeField, SpatialMesh, TimeGrid
@@ -54,45 +64,51 @@ class ThetaSchemeConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-class _InteriorOperator:
-    """Interior-node mass/stiffness with cached per-step factorizations."""
+def _modal_march(
+    space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, source, start, backward: bool
+) -> np.ndarray:
+    """Interior values, one row per time node, of the theta march.
 
-    def __init__(self, problem: "ProblemSpec", smesh: SpatialMesh, quad_order: int):
-        mats = fem1d.assemble_spatial_matrices(
-            smesh, problem.a, problem.a0, quad_order=quad_order
-        )
-        self.M_full = mats.M
-        self.M = mats.M[1:-1, :][:, 1:-1].tocsr()
-        self.K = mats.K[1:-1, :][:, 1:-1].tocsr()
-        self._solvers: dict[float, Callable] = {}
+    source holds the nodal source values, one row per time node; start holds
+    the interior values at t = 0, or at t = T when marching backward.
+    """
+    lam, V = space.modes
+    mass, stiffness, theta = space.m_inner, space.k_inner, cfg.theta
+    load = (source @ space.M.T)[:, 1:-1]
+    push = cfg.tgrid.deltas[:, None] * (theta * load[1:] + (1.0 - theta) * load[:-1])
+    # The adjoint is the same march on the time-reversed arrays.
+    order = slice(None, None, -1) if backward else slice(None)
+    dt, push = cfg.tgrid.deltas[order, None], push[order]
+    keep, gain = 1.0 - (1.0 - theta) * dt * lam, 1.0 + theta * dt * lam
 
-    def stepper(self, coef: float) -> Callable:
-        """Factorized solve for (M + coef K); cached per distinct coefficient."""
-        solver = self._solvers.get(coef)
-        if solver is None:
-            solver = spla.factorized((self.M + coef * self.K).tocsc())
-            self._solvers[coef] = solver
-        return solver
+    def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        z = [V.T @ (mass @ y0)]
+        for keep_j, push_j, gain_j in zip(keep, push @ V, gain):
+            z.append((keep_j * z[-1] + push_j) / gain_j)
+        y = np.array(z) @ V.T
+        y[0] = y0
+        return y
 
-    def load(self, nodal: np.ndarray) -> np.ndarray:
-        # Consistent load: full mass times full nodal values, interior rows.
-        return (self.M_full @ nodal)[1:-1]
+    y = march(push, start)
+    y_theta = theta * y[1:] + (1.0 - theta) * y[:-1]
+    residual = push - (y[1:] - y[:-1]) @ mass.T - dt * (y_theta @ stiffness.T)
+    y += march(residual, np.zeros_like(start))
+    return y[order]
 
 
 def solve_state(
     problem: "ProblemSpec",
     u0,
     cfg: ThetaSchemeConfig,
-    smesh: SpatialMesh,
-    *,
-    quad_order: int = 3,
+    space: fem1d.SpatialOperatorMatrices,
 ) -> SpaceTimeField:
     """March the state equation forward from the initial state u0.
 
-    Each step solves (M + theta dt K) y(j+1) = (M - (1-theta) dt K) y(j)
-    plus the mass-weighted source, with homogeneous Dirichlet values pinned
-    at the boundary nodes.  u0 must already vanish there.
+    space is the spatial operator of problem on the mesh to march on; see
+    the module docstring for the scheme.  Homogeneous Dirichlet values are
+    pinned at the boundary nodes, so u0 must already vanish there.
     """
+    smesh = space.smesh
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (smesh.d + 1,):
         raise ValueError(f"u0 has shape {u0.shape}, expected {(smesh.d + 1,)}")
@@ -101,20 +117,11 @@ def solve_state(
     if not np.all(np.abs(u0[[0, -1]]) <= 1e-12):
         raise ValueError("u0 must vanish at the boundary nodes")
 
-    op = _InteriorOperator(problem, smesh, quad_order)
     tgrid = cfg.tgrid
-    theta = cfg.theta
     f_nodal = fem1d.sample(problem.f, tgrid.taus, smesh.nodes)
-
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
+    values[:, 1:-1] = _modal_march(space, cfg, f_nodal, u0[1:-1], backward=False)
     values[0] = u0
-    y = u0[1:-1].copy()
-    for j in range(tgrid.N):
-        dt = tgrid.deltas[j]
-        rhs = op.M @ y - (1.0 - theta) * dt * (op.K @ y)
-        rhs += dt * op.load(theta * f_nodal[j + 1] + (1.0 - theta) * f_nodal[j])
-        y = op.stepper(theta * dt)(rhs)
-        values[j + 1, 1:-1] = y
     return SpaceTimeField(tgrid, smesh, values)
 
 
@@ -122,30 +129,21 @@ def solve_adjoint_classic(
     problem: "ProblemSpec",
     y: SpaceTimeField,
     cfg: ThetaSchemeConfig,
-    *,
-    quad_order: int = 3,
+    space: fem1d.SpatialOperatorMatrices,
 ) -> SpaceTimeField:
     """March the adjoint equation backward from p(T) = 0.
 
     The source is the misfit y - y_d; see the module docstring for how it
-    is weighted across each step.
+    is weighted across each step.  y must live on cfg's time grid and on
+    the mesh of space.
     """
-    if y.tgrid is not cfg.tgrid and not np.array_equal(y.tgrid.taus, cfg.tgrid.taus):
-        raise ValueError("trajectory and scheme config live on different grids")
-    smesh = y.smesh
-    op = _InteriorOperator(problem, smesh, quad_order)
-    tgrid = cfg.tgrid
-    theta = cfg.theta
+    tgrid, smesh = cfg.tgrid, space.smesh
+    same = np.array_equal(y.tgrid.taus, tgrid.taus) and np.array_equal(y.smesh.nodes, smesh.nodes)
+    if not same:
+        raise ValueError("trajectory, scheme config and spatial operator live on different grids")
     misfit = y.values - fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes)
-
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
-    p = np.zeros(smesh.d - 1)
-    for j in range(tgrid.N - 1, -1, -1):
-        dt = tgrid.deltas[j]
-        rhs = op.M @ p - (1.0 - theta) * dt * (op.K @ p)
-        rhs += dt * op.load(theta * misfit[j + 1] + (1.0 - theta) * misfit[j])
-        p = op.stepper(theta * dt)(rhs)
-        values[j, 1:-1] = p
+    values[:, 1:-1] = _modal_march(space, cfg, misfit, np.zeros(smesh.d - 1), backward=True)
     return SpaceTimeField(tgrid, smesh, values)
 
 
@@ -157,10 +155,6 @@ def trapezoid_time_weights(tgrid: TimeGrid) -> np.ndarray:
     return w
 
 
-def _zero_data(t, x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def kkt_oracle(
     problem: "ProblemSpec",
     smesh: SpatialMesh,
@@ -170,8 +164,9 @@ def kkt_oracle(
 ) -> np.ndarray:
     """Brute-force discrete minimizer of the assimilation objective.
 
-    Builds the control-to-trajectory map column by column with trapezoid
-    time stepping, then solves the dense normal equations
+    Builds the control-to-trajectory map S with trapezoid time stepping,
+    one source-free march per interior hat as initial state, then solves
+    the dense normal equations
 
         (S' W S + alpha M) u = S' W (y_d - c) + alpha M y_b
 
@@ -187,40 +182,22 @@ def kkt_oracle(
         )
 
     cfg = ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
-    homogeneous = replace(problem, f=_zero_data)
-
-    n_x = smesh.d + 1
-    n_traj = (tgrid.N + 1) * n_x
-    basis = np.zeros(n_x)
-    S = np.empty((n_traj, smesh.d - 1))
-    for k in range(1, smesh.d):
-        basis[:] = 0.0
-        basis[k] = 1.0
-        S[:, k - 1] = solve_state(
-            homogeneous, basis, cfg, smesh, quad_order=quad_order
-        ).values.ravel()
-    offset = solve_state(
-        problem, np.zeros(n_x), cfg, smesh, quad_order=quad_order
-    ).values.ravel()
-
-    mats = fem1d.assemble_spatial_matrices(
+    space = fem1d.assemble_spatial_matrices(
         smesh, problem.a, problem.a0, quad_order=quad_order
     )
-    M = mats.M
+    M, m_inner = space.M, space.m_inner.toarray()
+    n_x = smesh.d + 1
+
+    # S[t, k] is the interior state at time node t from the k-th interior hat.
+    no_source = np.zeros((tgrid.N + 1, n_x))
+    S = np.stack([_modal_march(space, cfg, no_source, e, False) for e in np.eye(smesh.d - 1)], 1)
+    offset = solve_state(problem, np.zeros(n_x), cfg, space).values
+    misfit = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes) - offset
     w_t = trapezoid_time_weights(tgrid)
 
-    def apply_weight(flat: np.ndarray) -> np.ndarray:
-        slices = flat.reshape(tgrid.N + 1, n_x)
-        return (w_t[:, None] * (slices @ M.T)).ravel()
-
-    y_d_flat = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes).ravel()
-    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
-
-    WS = np.column_stack([apply_weight(S[:, k]) for k in range(S.shape[1])])
-    M_dense = M.toarray()
-    G = S.T @ WS + problem.alpha * M_dense[1:-1, 1:-1]
-    rhs = S.T @ apply_weight(y_d_flat - offset)
-    rhs += problem.alpha * (M_dense @ y_b_nodal)[1:-1]
+    G = np.einsum("t,tki,tli->kl", w_t, S, S @ m_inner) + problem.alpha * m_inner
+    rhs = np.einsum("t,tki,ti->k", w_t, S, (misfit @ M.T)[:, 1:-1])
+    rhs += problem.alpha * (M @ fem1d._coefficient_at(problem.y_b, smesh.nodes))[1:-1]
 
     u = np.zeros(n_x)
     u[1:-1] = np.linalg.solve(G, rhs)
@@ -242,13 +219,11 @@ def optimality_residual(
     exact discrete minimizer of the matching scheme.
     """
     u = np.asarray(u, dtype=float)
-    y = solve_state(problem, u, cfg, smesh, quad_order=quad_order)
-    p = solve_adjoint_classic(problem, y, cfg, quad_order=quad_order)
-    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
-    gap = u - (y_b_nodal - p.values[0] / problem.alpha)
-    gap[0] = 0.0
-    gap[-1] = 0.0
-    mats = fem1d.assemble_spatial_matrices(
+    space = fem1d.assemble_spatial_matrices(
         smesh, problem.a, problem.a0, quad_order=quad_order
     )
-    return float(np.sqrt(gap @ (mats.M @ gap)))
+    y = solve_state(problem, u, cfg, space)
+    p = solve_adjoint_classic(problem, y, cfg, space)
+    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
+    gap = (u - (y_b_nodal - p.values[0] / problem.alpha))[1:-1]
+    return float(np.sqrt(gap @ (space.m_inner @ gap)))

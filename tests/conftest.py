@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,4 +35,20 @@ def nodal(fun, taus, nodes):
     """Sample a (t, x) callback on a tensor grid, time-major."""
     return np.array(
         [np.broadcast_to(np.asarray(fun(t, nodes), dtype=float), nodes.shape) for t in taus]
+    )
+
+
+def _zero(t, x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def variable_coefficient_problem():
+    """example1 with variable a(x) and a0(x); y_d = 0 keeps y_d_t and Ay_d consistent."""
+    return replace(
+        problems.example1("i"),
+        a=lambda x: 0.05 + 0.1 * np.asarray(x, dtype=float) ** 2,
+        a0=lambda x: 2.0 + np.sin(3.0 * np.asarray(x, dtype=float)),
+        y_d=_zero,
+        y_d_t=_zero,
+        Ay_d=_zero,
     )

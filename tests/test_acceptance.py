@@ -66,7 +66,8 @@ def _baseline(spec, smesh, tgrid):
     u0 = np.asarray(spec.y_b(smesh.nodes), dtype=float).copy()
     u0[0] = u0[-1] = 0.0
     cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
-    return forward.solve_state(spec, u0, cfg, smesh)
+    space = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0)
+    return forward.solve_state(spec, u0, cfg, space)
 
 
 def _max_misfit(field, y_ref):

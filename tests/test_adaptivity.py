@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import variable_coefficient_problem
 
 from varda import adaptivity, elliptic, fem1d, mesh, problems
 from varda.adaptivity import AdaptConfig, AdaptHistory, CycleRecord, ErrorIndicators
@@ -105,6 +106,18 @@ def test_error_indicators_validate_their_inputs():
         ErrorIndicators(per_interval=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         ErrorIndicators(per_interval=np.zeros((2, 2)))
+
+
+def test_indicators_refuse_a_solution_from_other_grids():
+    spec = variable_coefficient_problem()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
+    coarse, fine = mesh.build_uniform_time_grid(1.0, 8), mesh.build_uniform_time_grid(1.0, 16)
+    for solved_on, scored_on in ((fine, coarse), (coarse, fine)):
+        sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, solved_on))
+        with pytest.raises(ValueError, match="different grids"):
+            adaptivity.compute_indicators(spec, sol, sm, scored_on)
+    with pytest.raises(ValueError, match="different grids"):
+        adaptivity.compute_indicators(spec, sol, mesh.build_spatial_mesh(0.0, 1.0, 10), coarse)
 
 
 def test_max_marking_picks_the_single_worst_interval():

@@ -140,6 +140,9 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
          "error: adapt.theta must lie in (0, 1), got 1.0\n"),
         (("assimilate", "problem.name=example2", "problem.nu=inf"),
          "error: nu must be finite and positive, got inf\n"),
+        # One level has no convergence order to observe.
+        (("oracle-check", "oracle.levels=10"),
+         "error: oracle.levels must list at least two integers >= 2, got (10,)\n"),
     ]
     for argv, message in named:
         assert run(*argv) == 1, argv

@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import nodal
+from conftest import nodal, variable_coefficient_problem
 
-from varda import adaptivity, assimilation, elliptic, fem1d, mesh, problems
+from varda import adaptivity, assimilation, elliptic, fem1d, forward, mesh, problems
 
 
 def _zero(t, x):
@@ -166,18 +167,6 @@ def _superlu_solution(system):
     return x
 
 
-def _variable_coefficient_problem():
-    # y_d = 0 keeps y_d_t and Ay_d consistent for any a, a0.
-    return replace(
-        problems.example1("i"),
-        a=lambda x: 0.05 + 0.1 * np.asarray(x, dtype=float) ** 2,
-        a0=lambda x: 2.0 + np.sin(3.0 * np.asarray(x, dtype=float)),
-        y_d=_zero,
-        y_d_t=_zero,
-        Ay_d=_zero,
-    )
-
-
 @pytest.fixture(scope="module")
 def solver_grids():
     smesh = mesh.build_spatial_mesh(0.0, 1.0, 40)
@@ -226,7 +215,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
 
 @pytest.mark.parametrize("alpha", [1e-2, 1e4])
 def test_assembly_matches_the_flat_index_construction(alpha, solver_grids):
-    specs = (problems.example2(), _variable_coefficient_problem(), _nonzero_trace_problem())
+    specs = (problems.example2(), variable_coefficient_problem(), _nonzero_trace_problem())
     rng = np.random.default_rng(11)
     for spec in specs:
         for smesh, tgrid in solver_grids:
@@ -258,7 +247,7 @@ def test_dofmap_slices_match_the_flat_node_ids(solver_grids):
 
 @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 0.6, 1.0, 1e2, 1e4])
 def test_tensor_solve_agrees_with_sparse_lu(alpha, solver_grids):
-    for spec in (problems.example2(), _variable_coefficient_problem()):
+    for spec in (problems.example2(), variable_coefficient_problem()):
         for smesh, tgrid in solver_grids:
             system = elliptic.assemble(replace(spec, alpha=alpha), smesh, tgrid)
             sol = elliptic.solve_sparse(system)
@@ -270,28 +259,47 @@ def test_tensor_solve_agrees_with_sparse_lu(alpha, solver_grids):
 
 def test_assimilation_runs_without_splu(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("splu or kron called")
+        raise AssertionError("splu, factorized or kron called")
 
     solved, solve_sparse = [], elliptic.solve_sparse
+    calls = {"assemble_spatial_matrices": 0, "eigh": 0}
+    assemble_spatial_matrices, eigh = fem1d.assemble_spatial_matrices, la.eigh
 
     def record(system):
         solved.append(system)
         return solve_sparse(system)
 
+    def count_assembly(*args, **kwargs):
+        calls["assemble_spatial_matrices"] += 1
+        return assemble_spatial_matrices(*args, **kwargs)
+
+    def count_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(spla, "factorized", refuse)
     monkeypatch.setattr(sp, "kron", refuse)
     monkeypatch.setattr(elliptic, "solve_sparse", record)
+    monkeypatch.setattr(fem1d, "assemble_spatial_matrices", count_assembly)
+    monkeypatch.setattr(la, "eigh", count_eigh)
     spec = problems.example2()
-    result = assimilation.assimilate(
-        spec, mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 20)
-    )
+    smesh, tgrid = mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 20)
+    result = assimilation.assimilate(spec, smesh, tgrid)
     assert np.all(np.isfinite(result.u))
     assert len(solved) == 1
     assert "A" not in vars(solved[0])
+    # One spatial build and one eigenbasis serve the solve and the replay.
+    assert calls == {"assemble_spatial_matrices": 1, "eigh": 1}
+
+    calls["assemble_spatial_matrices"] = 0
+    forward.kkt_oracle(spec, smesh, tgrid)
+    assert calls["assemble_spatial_matrices"] == 1
 
 
 def test_singular_mass_block_raises_a_solver_error(ex1i_system):
-    singular = replace(ex1i_system, m_inner=0.0 * ex1i_system.m_inner)
+    space = ex1i_system.space
+    singular = replace(ex1i_system, space=replace(space, M=0.0 * space.M))
     with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
         elliptic.solve_sparse(singular)
     N, t_m = ex1i_system.dofmap.tgrid.N, ex1i_system.t_m

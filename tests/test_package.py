@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import varda
 
@@ -18,3 +21,15 @@ def test_package_root_exports_the_pipelines_only():
     )
     for name in varda.__all__:
         assert hasattr(varda, name), name
+
+
+def test_cli_import_leaves_out_the_sparse_direct_solvers():
+    # The solve and the replay share one eigenbasis; a second sparse-LU path
+    # would bring scipy.sparse.linalg back into every run's start-up.
+    code = "import sys, varda.cli; print('scipy.sparse.linalg' in sys.modules)"
+    package_root = os.path.dirname(os.path.dirname(varda.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
