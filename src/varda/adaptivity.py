@@ -10,12 +10,19 @@ second-derivative part of A q does too, so the indicator is computable from
 the data alone, before any solve.  compute_indicators therefore accepts the
 solution or None; the data-only route is what lets the loop build a grid
 without solving once per cycle.
+
+Bisection leaves every unmarked interval as it was, so adapt_loop samples
+each interval's data once, when the interval is created, and keeps the
+result while the interval lives: its eta^2 on the data-only route, its
+sampled data residual on the reference route, where only the -A q term is
+recomputed from each cycle's solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +61,9 @@ class ErrorIndicators:
         object.__setattr__(self, "per_interval", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("need a nonempty 1-D indicator array")
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise ValueError(f"indicator of interval {bad} is not finite: {vals[bad]}")
         if np.any(vals < 0.0):
             raise ValueError("squared indicators cannot be negative")
 
@@ -117,6 +127,55 @@ class AdaptHistory:
         self.cycles.append(record)
 
 
+class _Integrand:
+    """The indicator's integrand on one spatial mesh and its weighted square.
+
+    data samples the data residual g = f - dt y_d - A y_d at the spatial
+    Gauss points; eta_sq integrates (g - A q)^2 over one time interval.
+    a'(x) and a0(x), which only the -A q term needs, are sampled on its
+    first use and kept.  Overflow is left to ErrorIndicators, which rejects
+    the non-finite result.
+    """
+
+    def __init__(self, problem: ProblemSpec, smesh: SpatialMesh, quad_order: int) -> None:
+        self.problem = problem
+        self.smesh = smesh
+        self.quad = fem1d.spatial_quadrature(smesh, quad_order)
+
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """a'(x) by central differences and a0(x), at the Gauss points."""
+        xg = self.quad.x
+        delta = 1e-6 * (self.smesh.x_right - self.smesh.x_left)
+        a_hi = fem1d._coefficient_at(self.problem.a, xg + delta)
+        a_lo = fem1d._coefficient_at(self.problem.a, xg - delta)
+        return (a_hi - a_lo) / (2.0 * delta), fem1d._coefficient_at(self.problem.a0, xg)
+
+    def data(self, t: np.ndarray) -> np.ndarray:
+        """g on the tensor grid of time nodes t x the Gauss points: t.shape + quad.x.shape."""
+        return self.problem.data_residual(t, self.quad.x)
+
+    def eta_sq(self, g, dt, w, q=None, lam=None) -> float:
+        """dt^2 times the w-weighted integral of (g - A q)^2 over one interval.
+
+        g, shaped (nt,) + quad.x.shape, is the interval's data residual at
+        its nt time nodes and w their weights.  q, when given, holds the
+        solution's nodal rows at the two ends of the interval and lam the
+        place of the time nodes in it.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if q is not None:
+                da, a0 = self.coefficients
+                lam = lam[:, None]
+                q_slice = (1.0 - lam) * q[0] + lam * q[1]
+                phi = self.quad.phi
+                q_at = q_slice[:, :-1, None] * phi[0] + q_slice[:, 1:, None] * phi[1]
+                q_x = (np.diff(q_slice, axis=1) / self.smesh.h)[:, :, None]
+                # p_tt is zero on every element; A q contributes the rest.
+                g = g + (da * q_x - a0 * q_at)
+            return dt * dt * (w @ ((g * g) @ self.quad.w).sum(axis=1))
+
+
 def compute_indicators(
     problem: ProblemSpec,
     sol: elliptic.EllipticSolution | None,
@@ -132,7 +191,7 @@ def compute_indicators(
     and the integrand gains -A q.  For constant diffusion and zero reaction
     these contributions vanish and the result matches the data-only route
     exactly.  sol must live on smesh and tgrid; other grids raise
-    ValueError.
+    ValueError, and so does an indicator that overflows.
 
     Each interval is integrated with composite Gauss over fixed sub-panels:
     early in a refinement run the intervals are much wider than the data
@@ -144,31 +203,14 @@ def compute_indicators(
         and np.array_equal(sol.q.smesh.nodes, smesh.nodes)
     ):
         raise ValueError("solution and indicator live on different grids")
-    quad = fem1d.spatial_quadrature(smesh, quad_order)
-    xg, h = quad.x, smesh.h
+    integrand = _Integrand(problem, smesh, quad_order)
     t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
-
-    if sol is not None:
-        delta = 1e-6 * (smesh.x_right - smesh.x_left)
-        a_hi = fem1d._coefficient_at(problem.a, xg + delta)
-        a_lo = fem1d._coefficient_at(problem.a, xg - delta)
-        da = (a_hi - a_lo) / (2.0 * delta)
-        a0_vals = fem1d._coefficient_at(problem.a0, xg)
-        q_vals = sol.q.values
 
     # One interval at a time, so the sampled data never scale with N.
     eta_sq = np.zeros(tgrid.N)
     for i in range(tgrid.N):
-        g = problem.data_residual(t[i], xg)
-        if sol is not None:
-            lam_i = lam[i][:, None]
-            q_slice = (1.0 - lam_i) * q_vals[i] + lam_i * q_vals[i + 1]
-            q_at = q_slice[:, :-1, None] * quad.phi[0] + q_slice[:, 1:, None] * quad.phi[1]
-            q_x = (np.diff(q_slice, axis=1) / h)[:, :, None]
-            # p_tt is zero on every element; A q contributes the rest.
-            g += da * q_x - a0_vals * q_at
-        dt = tgrid.deltas[i]
-        eta_sq[i] = dt * dt * (w_t[i] @ ((g * g) @ quad.w).sum(axis=1))
+        q = None if sol is None else sol.q.values[i : i + 2]
+        eta_sq[i] = integrand.eta_sq(integrand.data(t[i]), tgrid.deltas[i], w_t[i], q, lam[i])
     return ErrorIndicators(per_interval=eta_sq)
 
 
@@ -227,6 +269,10 @@ def adapt_loop(
     every cycle and records the L2 gap of p(0) against a solve on a uniform
     grid with 4 * n_max intervals; otherwise no solve happens at all, the
     indicators being computable from the data.
+
+    Each interval's data are sampled once, in one batch with the other
+    intervals of its cycle, when bisection creates it; the indicators equal
+    those of compute_indicators on every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
@@ -234,7 +280,11 @@ def adapt_loop(
     solve_with_error = None
     if cfg.record_reference_error:
         solve_with_error = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
+    integrand = _Integrand(problem, smesh, quad_order)
 
+    # Live interval (t0, t1) -> its eta^2 on the data-only route, its sampled
+    # data residual on the reference route.  Bisected parents drop out.
+    cache: dict[tuple[float, float], float | np.ndarray] = {}
     cycle = 0
     while True:
         sol = None
@@ -242,7 +292,24 @@ def adapt_loop(
         if solve_with_error is not None:
             sol, true_error = solve_with_error(tgrid)
 
-        ind = compute_indicators(problem, sol, smesh, tgrid, quad_order=quad_order)
+        t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
+        keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
+        fresh = [i for i, key in enumerate(keys) if key not in cache]
+        for i, g in zip(fresh, integrand.data(t[fresh])):
+            cache[keys[i]] = g if sol is not None else integrand.eta_sq(g, tgrid.deltas[i], w_t[i])
+        cache = {key: cache[key] for key in keys}
+        if sol is None:
+            eta_sq = np.array(list(cache.values()))
+        else:
+            q = sol.q.values
+            eta_sq = np.array(
+                [
+                    integrand.eta_sq(g, tgrid.deltas[i], w_t[i], q[i : i + 2], lam[i])
+                    for i, g in enumerate(cache.values())
+                ]
+            )
+
+        ind = ErrorIndicators(per_interval=eta_sq)
         history.append(
             CycleRecord(
                 cycle=cycle,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import variable_coefficient_problem
@@ -106,6 +108,9 @@ def test_error_indicators_validate_their_inputs():
         ErrorIndicators(per_interval=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         ErrorIndicators(per_interval=np.zeros((2, 2)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="interval 1 is not finite"):
+            ErrorIndicators(per_interval=np.array([1.0, bad, 2.0]))
 
 
 def test_indicators_refuse_a_solution_from_other_grids():
@@ -231,3 +236,71 @@ def test_history_csv_shape():
     assert len(lines) == len(history.cycles) + 1
     # Without reference recording the error column stays empty.
     assert all(line.endswith(",") for line in lines[1:])
+
+
+def _fresh_loop(problem, smesh, cfg):
+    """The adapt loop without a cache: every cycle scores every interval anew."""
+    tgrid = mesh.build_uniform_time_grid(problem.T, cfg.n_initial)
+    if cfg.record_reference_error:
+        ref_grid = mesh.build_uniform_time_grid(problem.T, 4 * cfg.n_max)
+        ref_sys = elliptic.assemble(problem, smesh, ref_grid)
+        ref_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
+    records = []
+    while True:
+        sol, true_error = None, None
+        if cfg.record_reference_error:
+            sol = elliptic.solve_sparse(elliptic.assemble(problem, smesh, tgrid))
+            diff = ref_p0 - sol.p.values[0]
+            true_error = float(np.sqrt(diff @ (ref_sys.space.M @ diff)))
+        ind = adaptivity.compute_indicators(problem, sol, smesh, tgrid)
+        records.append((tgrid.taus, ind.per_interval, float(np.sqrt(ind.total)), true_error))
+        marks = adaptivity.mark(ind, cfg)
+        if tgrid.N >= cfg.n_max or not marks:
+            return records
+        tgrid = mesh.bisect_intervals(tgrid, marks)
+
+
+@pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
+@pytest.mark.parametrize(
+    "problem, reference",
+    [
+        (problems.example3()[0], False),
+        (problems.example2(), True),
+        # Variable a(x) and a0(x): the -A q term carries the whole indicator.
+        (variable_coefficient_problem(), True),
+    ],
+    ids=["example3-data-only", "example2-reference", "variable-reference"],
+)
+def test_cached_loop_matches_a_fresh_loop(problem, reference, strategy):
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
+    cfg = AdaptConfig(
+        strategy=strategy, theta_mark=0.3, n_initial=3, n_max=12,
+        record_reference_error=reference,
+    )
+    _, history = adaptivity.adapt_loop(problem, sm, cfg)
+    fresh = _fresh_loop(problem, sm, cfg)
+    assert len(history.cycles) == len(fresh) > 2
+    for rec, (taus, eta_sq, eta_total, true_error) in zip(history.cycles, fresh):
+        assert np.array_equal(rec.taus, taus)
+        assert np.array_equal(rec.eta_sq, eta_sq)
+        assert rec.eta_total == eta_total
+        assert rec.true_error == true_error
+
+
+def test_adapt_loop_samples_each_interval_once():
+    # example3 from 5 to 30 intervals by MAX: 5 initial intervals plus two
+    # children for each of 25 bisections, every one sampled on the
+    # indicator's 16 panels x 3 Gauss nodes in time.
+    spec, _ = problems.example3()
+    points = []
+
+    def counted(t, x):
+        points.append(np.broadcast(t, x).size)
+        return spec.f(t, x)
+
+    counted_spec = replace(spec, f=counted)
+    points.clear()  # drop the spot check that construction ran
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
+    tgrid, _ = adaptivity.adapt_loop(counted_spec, sm, AdaptConfig(n_initial=5, n_max=30))
+    assert tgrid.N == 30
+    assert sum(points) == 55 * 48 * sm.d * 3

@@ -74,14 +74,20 @@ def test_assimilate_writes_the_documented_files(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert run(
-            "assimilate", "problem.name=example1i", "grid.d=10", "grid.N=8",
-            f"output_dir={out}",
-        ) == 0
-    for path_a in sorted(out_a.iterdir()):
-        assert path_a.read_bytes() == (out_b / path_a.name).read_bytes()
+    runs = {
+        "assimilate": ("assimilate", "problem.name=example1i", "grid.d=10", "grid.N=8"),
+        # A second in-process run must not see anything the first one left.
+        "adapt": ("adapt", "problem.name=example3", "grid.d=10", "adapt.n_max=8",
+                  "adapt.snapshots=true", "adapt.record_reference=true"),
+    }
+    for name, argv in runs.items():
+        out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+        for out in (out_a, out_b):
+            assert run(*argv, f"output_dir={out}") == 0
+        files = sorted(path.name for path in out_a.iterdir())
+        assert files == sorted(path.name for path in out_b.iterdir())
+        for file in files:
+            assert (out_a / file).read_bytes() == (out_b / file).read_bytes()
 
 
 def test_field_csv_matches_the_per_cell_format():
@@ -129,11 +135,15 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         # The data overflow to inf at the pulse and must not reach the output.
         ("assimilate", "problem.name=example2", "problem.eps=1e-300", "grid.N=3", "grid.d=10",
          f"output_dir={tmp_path / 'nan'}"),
+        # The data residual is finite but its square overflows.
+        ("adapt", "problem.name=example3", "problem.nu=1e100", "adapt.n_max=8",
+         f"output_dir={tmp_path / 'overflow'}"),
     ]
     for argv in cases:
         assert run(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "nan" / "summary.txt").exists()
+    assert not (tmp_path / "overflow" / "history.csv").exists()
     # Messages name the config key or the parameter that was set.
     named = [
         (("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
