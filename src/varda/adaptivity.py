@@ -239,18 +239,19 @@ def _reference_solver(
     """Solve once on a uniform grid of n_reference intervals.
 
     Returns a function that solves on a given grid and also returns the
-    L2(Omega) gap of its p(0) to the reference p(0).
+    L2(Omega) gap of its p(0) to the reference p(0).  One spatial operator
+    serves the reference solve and every later one.
     """
+    space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
-    ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order)
+    ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order, space=space)
     reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
-    mass = ref_sys.space.M
 
     def solve_with_error(tgrid: TimeGrid) -> tuple[elliptic.EllipticSolution, float]:
-        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order)
+        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order, space=space)
         sol = elliptic.solve_sparse(system)
         diff = reference_p0 - sol.p.values[0]
-        return sol, float(np.sqrt(diff @ (mass @ diff)))
+        return sol, float(np.sqrt(diff @ (space.M @ diff)))
 
     return solve_with_error
 

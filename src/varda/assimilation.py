@@ -153,8 +153,6 @@ class AssimilationResult:
     y: SpaceTimeField
     rmse: float
     alpha: float
-    tgrid: TimeGrid
-    smesh: SpatialMesh
     solver_residual: float
 
 
@@ -163,8 +161,8 @@ def assimilate(
     smesh: SpatialMesh,
     tgrid: TimeGrid,
     *,
-    quad_order: int = 3,
     theta: float = 0.5,
+    space: fem1d.SpatialOperatorMatrices | None = None,
 ) -> AssimilationResult:
     """Run the full pipeline on the given grids.
 
@@ -172,9 +170,12 @@ def assimilate(
     optimal initial state u = y_b - p(0)/alpha at interior nodes (zero on
     the boundary, matching the homogeneous state space), replays the state
     equation from u with a theta scheme, and scores the trajectory against
-    y_d.
+    y_d.  space is the run's spatial operator on smesh, which fixes the
+    quadrature order; without one, a space of order 3 is built.
     """
-    system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order)
+    if space is None:
+        space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0)
+    system = elliptic.assemble(problem, smesh, tgrid, quad_order=space.quad.order, space=space)
     sol = elliptic.solve_sparse(system)
 
     p0 = sol.p.values[0]
@@ -183,7 +184,7 @@ def assimilate(
     u[inner] = fem1d._coefficient_at(problem.y_b, smesh.nodes[inner]) - p0[inner] / problem.alpha
 
     cfg = forward.ThetaSchemeConfig(theta=theta, tgrid=tgrid)
-    y = forward.solve_state(problem, u, cfg, system.space)
+    y = forward.solve_state(problem, u, cfg, space)
 
     return AssimilationResult(
         p=sol.p,
@@ -192,8 +193,6 @@ def assimilate(
         y=y,
         rmse=rmse(y, problem.y_d),
         alpha=problem.alpha,
-        tgrid=tgrid,
-        smesh=smesh,
         solver_residual=sol.solver_residual,
     )
 

@@ -272,13 +272,17 @@ def _resolved_nu(cfg: RunConfig) -> float:
     return 0.1 if cfg.nu is None else cfg.nu
 
 
-def _baseline_state(spec, smesh: mesh.SpatialMesh, tgrid: mesh.TimeGrid, cfg: RunConfig):
+def _build_space(spec, d: int, cfg: RunConfig) -> fem1d.SpatialOperatorMatrices:
+    """The spatial operator of spec on a uniform mesh of d cells; one per problem and mesh."""
+    smesh = mesh.build_spatial_mesh(*spec.domain, d)
+    return fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=cfg.quad_order)
+
+
+def _baseline_state(spec, space: fem1d.SpatialOperatorMatrices, tgrid: mesh.TimeGrid, cfg: RunConfig):
     """March the model from the background guess without any assimilation."""
-    u0 = fem1d._coefficient_at(spec.y_b, smesh.nodes).copy()
-    u0[0] = 0.0
-    u0[-1] = 0.0
+    u0 = fem1d._coefficient_at(spec.y_b, space.smesh.nodes).copy()
+    u0[[0, -1]] = 0.0
     scheme = forward.ThetaSchemeConfig(theta=cfg.theta_scheme, tgrid=tgrid)
-    space = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=cfg.quad_order)
     return forward.solve_state(spec, u0, scheme, space)
 
 
@@ -289,11 +293,9 @@ def _max_misfit(field_: mesh.SpaceTimeField, y_ref) -> float:
 
 def cmd_assimilate(cfg: RunConfig) -> int:
     spec, _ = resolve_problem(cfg)
-    smesh = mesh.build_spatial_mesh(*spec.domain, cfg.d)
-    tgrid = mesh.build_uniform_time_grid(spec.T, cfg.N)
-    result = assimilation.assimilate(
-        spec, smesh, tgrid, quad_order=cfg.quad_order, theta=cfg.theta_scheme
-    )
+    space = _build_space(spec, cfg.d, cfg)
+    smesh, tgrid = space.smesh, mesh.build_uniform_time_grid(spec.T, cfg.N)
+    result = assimilation.assimilate(spec, smesh, tgrid, theta=cfg.theta_scheme, space=space)
     out = _prepare_output_dir(cfg)
     _write_field(out, "p.csv", result.p)
     _write_field(out, "q.csv", result.q)
@@ -357,16 +359,15 @@ def _reproduce_table1(cfg: RunConfig, out: Path) -> Path:
     rows: list[tuple[str, float | None, float]] = []
     for name in ("example1i", "example1ii"):
         targets = _TABLE1_TARGETS[name]
-        variant_cfg = replace(cfg, name=name, alpha=None, eps=None, m=None)
-        spec, _ = resolve_problem(variant_cfg)
-        smesh = mesh.build_spatial_mesh(*spec.domain, cfg.d)
+        spec, _ = resolve_problem(replace(cfg, name=name, alpha=None, eps=None, m=None))
+        space = _build_space(spec, cfg.d, cfg)
         tgrid = mesh.build_uniform_time_grid(spec.T, cfg.N)
-        baseline = _baseline_state(spec, smesh, tgrid, cfg)
+        baseline = _baseline_state(spec, space, tgrid, cfg)
         rows.append((f"{name} baseline", targets["baseline"], assimilation.rmse(baseline, spec.y_d)))
         for alpha in _TABLE1_ALPHAS:
-            spec_a, _ = resolve_problem(replace(variant_cfg, alpha=alpha))
+            # replace keeps the a, a0 callables, so the sweep shares one space.
             result = assimilation.assimilate(
-                spec_a, smesh, tgrid, quad_order=cfg.quad_order, theta=cfg.theta_scheme
+                replace(spec, alpha=alpha), space.smesh, tgrid, theta=cfg.theta_scheme, space=space
             )
             rows.append((f"{name} alpha={alpha:g}", targets[alpha], result.rmse))
     path = out / "table1.csv"
@@ -377,12 +378,10 @@ def _reproduce_table1(cfg: RunConfig, out: Path) -> Path:
 def _reproduce_example2(cfg: RunConfig, out: Path) -> Path:
     alpha = _EXAMPLE2_ALPHA if cfg.alpha is None else cfg.alpha
     spec, _ = resolve_problem(replace(cfg, name="example2", alpha=alpha, m=None))
-    smesh = mesh.build_spatial_mesh(*spec.domain, cfg.d)
+    space = _build_space(spec, cfg.d, cfg)
     tgrid = mesh.build_uniform_time_grid(spec.T, cfg.N)
-    baseline = _baseline_state(spec, smesh, tgrid, cfg)
-    result = assimilation.assimilate(
-        spec, smesh, tgrid, quad_order=cfg.quad_order, theta=cfg.theta_scheme
-    )
+    baseline = _baseline_state(spec, space, tgrid, cfg)
+    result = assimilation.assimilate(spec, space.smesh, tgrid, theta=cfg.theta_scheme, space=space)
     rows = [
         ("example2 rmse_before", _EXAMPLE2_TARGETS["rmse_before"], assimilation.rmse(baseline, spec.y_d)),
         ("example2 rmse_after", _EXAMPLE2_TARGETS["rmse_after"], result.rmse),
@@ -398,26 +397,16 @@ def _reproduce_example3(cfg: RunConfig, out: Path) -> Path:
     rows: list[tuple[str, float | None, float]] = []
     for eps in _EXAMPLE3_EPS:
         spec, exact_p = problems.example3(eps=eps)
-        smesh = mesh.build_spatial_mesh(*spec.domain, cfg.d)
+        space = _build_space(spec, cfg.d, cfg)
+        smesh = space.smesh
         acfg = adaptivity.AdaptConfig(strategy="MAX", n_initial=5, n_max=30)
         tgrid, _ = adaptivity.adapt_loop(spec, smesh, acfg, quad_order=cfg.quad_order)
         _write_grid_txt(out, f"grid_eps{eps:g}.txt", tgrid)
         exact0 = exact_p(0.0, smesh.nodes)
-        sol = elliptic.solve_sparse(
-            elliptic.assemble(spec, smesh, tgrid, quad_order=cfg.quad_order)
-        )
-        rows.append(
-            (f"example3 eps={eps:g} mse_adaptive_N30", None,
-             assimilation.mse_initial(sol.p.values[0], exact0))
-        )
-        uniform_grid = mesh.build_uniform_time_grid(spec.T, 30)
-        sol_u = elliptic.solve_sparse(
-            elliptic.assemble(spec, smesh, uniform_grid, quad_order=cfg.quad_order)
-        )
-        rows.append(
-            (f"example3 eps={eps:g} mse_uniform_N30", None,
-             assimilation.mse_initial(sol_u.p.values[0], exact0))
-        )
+        for label, grid in (("adaptive", tgrid), ("uniform", mesh.build_uniform_time_grid(spec.T, 30))):
+            system = elliptic.assemble(spec, smesh, grid, quad_order=cfg.quad_order, space=space)
+            p0 = elliptic.solve_sparse(system).p.values[0]
+            rows.append((f"example3 eps={eps:g} mse_{label}_N30", None, assimilation.mse_initial(p0, exact0)))
     path = out / "example3.csv"
     _atomic_write(path, _comparison_csv(rows))
     return path
@@ -448,12 +437,10 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     base_spec, _ = resolve_problem(cfg)
     diffs: list[float] = []
     for n in cfg.levels:
-        smesh = mesh.build_spatial_mesh(*base_spec.domain, n)
+        space = _build_space(base_spec, n, cfg)
         tgrid = mesh.build_uniform_time_grid(base_spec.T, n)
-        result = assimilation.assimilate(
-            base_spec, smesh, tgrid, quad_order=cfg.quad_order, theta=cfg.theta_scheme
-        )
-        u_oracle = forward.kkt_oracle(base_spec, smesh, tgrid, quad_order=cfg.quad_order)
+        result = assimilation.assimilate(base_spec, space.smesh, tgrid, theta=cfg.theta_scheme, space=space)
+        u_oracle = forward.kkt_oracle(base_spec, space, tgrid)
         diffs.append(
             float(np.linalg.norm(result.u - u_oracle) / np.linalg.norm(u_oracle))
         )

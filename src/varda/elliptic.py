@@ -29,11 +29,12 @@ the right-hand side through the same two time factors and the interior-row,
 boundary-column blocks of M and K_hat.
 
 The system stores the two time factors and the fem1d.SpatialOperatorMatrices
-that holds M_I, K_I and their eigenbasis, which the theta-scheme replay
-shares; A is built only when read.  solve_sparse never forms A: its
-residuals use vec(T_M X M_I^T + T_K X K_I^T), X the time-major reshape of
-x, and since A is a sum of two Kronecker products the tensor-product direct
-method of Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies exactly.  One
+that holds M_I, K_I and their eigenbasis: the space, built once per run and
+shared by every solve, replay and oracle on its mesh.  A is built only when
+read.  solve_sparse never forms A: its residuals use
+vec(T_M X M_I^T + T_K X K_I^T), X the time-major reshape of x, and since A
+is a sum of two Kronecker products the tensor-product direct method of
+Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies exactly.  One
 generalized eigenproblem K_I V = M_I V diag(lam) with V^T M_I V = I turns
 both spatial factors diagonal, so the system splits
 into one time problem T_M + lam T_K per spatial mode.  In mode k, the q rows
@@ -159,22 +160,21 @@ class EllipticSolution:
 
 def _data_load(
     problem: "ProblemSpec",
-    smesh: SpatialMesh,
+    space: fem1d.SpatialOperatorMatrices,
     tgrid: TimeGrid,
-    quad_order: int,
 ) -> np.ndarray:
     """Load against every p test function, shape (N+1, d+1), time-major.
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
     function.  Initial term: integral of (y_b - y_d(0)) against the t=0
-    hats.  Tensor Gauss quadrature with quad_order points per direction.
+    hats.  Tensor Gauss quadrature with the space's rule in each direction.
     """
-    quad = fem1d.spatial_quadrature(smesh, quad_order)
-    t, w, lam = fem1d.time_quadrature(tgrid, quad_order)
+    quad = space.quad
+    t, w, lam = fem1d.time_quadrature(tgrid, quad.order)
     nodal = quad.gather(problem.data_residual(t, quad.x))
 
     # Interval i feeds the time hats of its nodes i and i + 1.
-    load = np.zeros((tgrid.N + 1, smesh.d + 1))
+    load = np.zeros((tgrid.N + 1, space.smesh.d + 1))
     load[:-1] += np.einsum("ik,ikj->ij", w * (1.0 - lam), nodal)
     load[1:] += np.einsum("ik,ikj->ij", w * lam, nodal)
 
@@ -188,20 +188,27 @@ def assemble(
     smesh: SpatialMesh,
     tgrid: TimeGrid,
     quad_order: int = 3,
+    *,
+    space: fem1d.SpatialOperatorMatrices | None = None,
 ) -> AssembledSystem:
     """Assemble A = T_M (x) M_I + T_K (x) K_I as factors, and its free-dof load.
 
-    Raises ValueError for a spatial mesh without an interior node.  The
-    trust coefficient and the time grid need no check here: ProblemSpec
-    requires alpha > 0 and every TimeGrid has at least one interval.
+    space is the run's spatial operator, built here when not given.  Raises
+    ValueError for a spatial mesh without an interior node, for a space that
+    does not match smesh, quad_order and problem's a, a0, and for a load
+    whose squared norm overflows.  alpha and the time grid need no check:
+    ProblemSpec requires alpha > 0 and every TimeGrid has an interval.
     """
     if smesh.d < 2:
         raise ValueError("need at least one interior spatial node")
+    if space is None:
+        space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
+    elif not (np.array_equal(space.smesh.nodes, smesh.nodes) and space.quad.order == quad_order):
+        raise ValueError("spatial operator was built on another mesh or at another quad_order")
+    elif space.a is not problem.a or space.a0 is not problem.a0:
+        raise ValueError("spatial operator was built from other a, a0 callables than the problem's")
 
     N, d = tgrid.N, smesh.d
-    space = fem1d.assemble_spatial_matrices(
-        smesh, problem.a, problem.a0, quad_order=quad_order
-    )
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
 
     e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
@@ -216,12 +223,17 @@ def assemble(
         t_m[:, N:] @ q_boundary @ space.M[1:-1, ::d].T
         + t_k[:, N:] @ q_boundary @ space.K[1:-1, ::d].T
     )
-    b[:N] += _data_load(problem, smesh, tgrid, quad_order)[:N, 1:-1]
+    b[:N] += _data_load(problem, space, tgrid)[:N, 1:-1]
+    b = b.ravel()
+    # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(b * b)):
+            raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {np.abs(b).max():.3g})")
     return AssembledSystem(
         t_m=t_m,
         t_k=t_k,
         space=space,
-        b=b.ravel(),
+        b=b,
         dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
     )
 

@@ -58,16 +58,20 @@ class ElementMatrices:
 
 @dataclass(frozen=True)
 class SpatialOperatorMatrices:
-    """The spatial operator on one mesh: global matrices, interior blocks, modes.
+    """The spatial discretization of one run: global matrices, interior blocks, modes.
 
     M is the plain mass matrix and K the stiffness of -(a v')' + a0 v: the
     diffusion stiffness weighted by a(x) plus the mass matrix weighted by
-    the reaction coefficient a0(x).  Both are symmetric.  m_inner and
-    k_inner, their interior blocks M_I and K_I, and modes are computed on
-    first read and shared by the space-time solver and the theta schemes.
+    the reaction coefficient a0(x).  Both are symmetric.  The space keeps
+    its mesh, Gauss rule quad and a, a0 callables, is built once per run and
+    is shared by every solve, replay and oracle on its mesh.  m_inner and
+    k_inner (M_I and K_I) and the eigenbasis modes are built on first read.
     """
 
     smesh: SpatialMesh
+    quad: SpatialQuadrature
+    a: Callable
+    a0: Callable
     M: sp.csr_array
     K: sp.csr_array
 
@@ -145,6 +149,10 @@ class SpatialQuadrature:
     x: np.ndarray
     w: np.ndarray
     phi: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.gw.size
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Integrals of values (..., d, q) at x against each hat: (..., d + 1)."""
@@ -252,4 +260,4 @@ def assemble_spatial_matrices(
     def _build(data) -> sp.csr_array:
         return sp.coo_array((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
 
-    return SpatialOperatorMatrices(smesh, _build(m_data), _build(k_data) + _build(m0_data))
+    return SpatialOperatorMatrices(smesh, quad, a, a0, _build(m_data), _build(k_data) + _build(m0_data))

@@ -7,8 +7,9 @@ They provide the assimilated trajectory, optimality cross-checks, and an
 independent brute-force minimizer on tiny grids that the space-time solver
 can be tested against.
 
-Both marches run in the eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I,
-that fem1d.SpatialOperatorMatrices.modes shares with the space-time solver.
+The marches and the oracle take the run's fem1d.SpatialOperatorMatrices,
+built once per run and shared by every solve, replay and oracle on its
+mesh, and march in its eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I.
 With y = V z on the interior nodes and g the modal consistent mass load of
 the source, a step over an interval dt is one division per mode:
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import fem1d
-from .mesh import SpaceTimeField, SpatialMesh, TimeGrid
+from .mesh import SpaceTimeField, TimeGrid
 
 if TYPE_CHECKING:
     from .assimilation import ProblemSpec
@@ -157,10 +158,8 @@ def trapezoid_time_weights(tgrid: TimeGrid) -> np.ndarray:
 
 def kkt_oracle(
     problem: "ProblemSpec",
-    smesh: SpatialMesh,
+    space: fem1d.SpatialOperatorMatrices,
     tgrid: TimeGrid,
-    *,
-    quad_order: int = 3,
 ) -> np.ndarray:
     """Brute-force discrete minimizer of the assimilation objective.
 
@@ -171,9 +170,10 @@ def kkt_oracle(
         (S' W S + alpha M) u = S' W (y_d - c) + alpha M y_b
 
     where W is trapezoid-in-time tensor spatial mass and c the trajectory
-    from a zero initial state.  Intended as a test oracle only; grids above
-    the size cap are refused.
+    from a zero initial state, all on the mesh of space.  Intended as a test
+    oracle only; grids above the size cap are refused.
     """
+    smesh = space.smesh
     n_free = (tgrid.N + 1) * (smesh.d - 1)
     if n_free > ORACLE_SIZE_CAP:
         raise ValueError(
@@ -182,9 +182,6 @@ def kkt_oracle(
         )
 
     cfg = ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
-    space = fem1d.assemble_spatial_matrices(
-        smesh, problem.a, problem.a0, quad_order=quad_order
-    )
     M, m_inner = space.M, space.m_inner.toarray()
     n_x = smesh.d + 1
 
@@ -208,9 +205,7 @@ def optimality_residual(
     problem: "ProblemSpec",
     u,
     cfg: ThetaSchemeConfig,
-    smesh: SpatialMesh,
-    *,
-    quad_order: int = 3,
+    space: fem1d.SpatialOperatorMatrices,
 ) -> float:
     """Mass-norm gap between u and the control its own adjoint implies.
 
@@ -219,11 +214,8 @@ def optimality_residual(
     exact discrete minimizer of the matching scheme.
     """
     u = np.asarray(u, dtype=float)
-    space = fem1d.assemble_spatial_matrices(
-        smesh, problem.a, problem.a0, quad_order=quad_order
-    )
     y = solve_state(problem, u, cfg, space)
     p = solve_adjoint_classic(problem, y, cfg, space)
-    y_b_nodal = fem1d._coefficient_at(problem.y_b, smesh.nodes)
+    y_b_nodal = fem1d._coefficient_at(problem.y_b, space.smesh.nodes)
     gap = (u - (y_b_nodal - p.values[0] / problem.alpha))[1:-1]
     return float(np.sqrt(gap @ (space.m_inner @ gap)))

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
-from varda import elliptic, mesh, problems
+from varda import elliptic, fem1d, mesh, problems
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,25 @@ def ex1i_system(ex1i, smesh40, tgrid40):
 @pytest.fixture(scope="session")
 def ex1i_solution(ex1i_system):
     return elliptic.solve_sparse(ex1i_system)
+
+
+@pytest.fixture
+def spatial_builds(monkeypatch):
+    """Live counts of fem1d.assemble_spatial_matrices and scipy.linalg.eigh calls."""
+    calls = {"assemble_spatial_matrices": 0, "eigh": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(fem1d, "assemble_spatial_matrices")
+    count(la, "eigh")
+    return calls
 
 
 def nodal(fun, taus, nodes):

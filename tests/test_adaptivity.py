@@ -210,6 +210,16 @@ def test_adapt_loop_records_reference_errors():
     assert errors[-1] < errors[0]
 
 
+def test_reference_route_builds_one_spatial_operator(spatial_builds):
+    spec = problems.example2()
+    smesh = mesh.build_spatial_mesh(*spec.domain, 20)
+    cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
+    _, history = adaptivity.adapt_loop(spec, smesh, cfg)
+    # 36 cycle solves and the reference solve share one space and one eigh.
+    assert len(history.cycles) == 36
+    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigh": 1}
+
+
 def test_uniform_initial_errors_match_direct_solves():
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)

@@ -138,12 +138,18 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         # The data residual is finite but its square overflows.
         ("adapt", "problem.name=example3", "problem.nu=1e100", "adapt.n_max=8",
          f"output_dir={tmp_path / 'overflow'}"),
+        # The load is finite but its squared norm overflows.
+        ("assimilate", "problem.name=example3", "problem.nu=1e100", "grid.d=10", "grid.N=5",
+         f"output_dir={tmp_path / 'load'}"),
+        ("adapt", "problem.name=example3", "problem.nu=1e100", "adapt.n_max=8",
+         "adapt.record_reference=true", f"output_dir={tmp_path / 'load'}"),
     ]
     for argv in cases:
         assert run(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "nan" / "summary.txt").exists()
     assert not (tmp_path / "overflow" / "history.csv").exists()
+    assert not (tmp_path / "load").exists()
     # Messages name the config key or the parameter that was set.
     named = [
         (("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
@@ -229,6 +235,13 @@ def test_adapt_snapshots_and_reference_errors(tmp_path):
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 5
     assert not history[1].endswith(",")
+
+
+def test_reproduce_table1_builds_one_spatial_operator_per_problem(tmp_path, spatial_builds):
+    assert run("reproduce", "table1", "grid.d=10", "grid.N=10", f"output_dir={tmp_path}") == 0
+    # Each problem's baseline and 7-alpha sweep share one space and one eigh.
+    assert spatial_builds == {"assemble_spatial_matrices": 2, "eigh": 2}
+    assert len((tmp_path / "table1.csv").read_text().splitlines()) == 17
 
 
 def test_reproduce_example2_rows(tmp_path):

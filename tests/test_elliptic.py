@@ -207,7 +207,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
         [-coupling[q_free][:, p_free], a_qq[q_free][:, q_free]],
     ]).tocsr()
 
-    load = elliptic._data_load(spec, smesh, tgrid, quad_order).ravel()
+    load = elliptic._data_load(spec, mats, tgrid).ravel()
     b_p = load[p_free] - coupling[p_free][:, q_fixed] @ q_fixed_values
     b_q = -(a_qq[q_free][:, q_fixed] @ q_fixed_values)
     return A, np.concatenate([b_p, b_q]), (p_free, q_free, q_fixed, q_fixed_values)
@@ -293,8 +293,34 @@ def test_assimilation_runs_without_splu(monkeypatch):
     assert calls == {"assemble_spatial_matrices": 1, "eigh": 1}
 
     calls["assemble_spatial_matrices"] = 0
-    forward.kkt_oracle(spec, smesh, tgrid)
-    assert calls["assemble_spatial_matrices"] == 1
+    # Given the run's space, the oracle builds nothing and reuses its eigenbasis.
+    forward.kkt_oracle(spec, solved[0].space, tgrid)
+    assert calls == {"assemble_spatial_matrices": 0, "eigh": 1}
+
+
+def test_assemble_refuses_a_space_built_for_something_else(ex1i, smesh40, tgrid40):
+    def build(smesh=smesh40, a=ex1i.a, a0=ex1i.a0, quad_order=3):
+        return fem1d.assemble_spatial_matrices(smesh, a, a0, quad_order=quad_order)
+
+    def same_values(fun):
+        return lambda x: fun(x)
+
+    mismatched = [
+        build(smesh=mesh.build_spatial_mesh(0.0, 1.0, 20)),
+        build(smesh=mesh.build_spatial_mesh(0.0, 2.0, 40)),
+        build(quad_order=2),
+        build(a=same_values(ex1i.a)),
+        build(a0=same_values(ex1i.a0)),
+    ]
+    for space in mismatched:
+        with pytest.raises(ValueError, match="spatial operator was built"):
+            elliptic.assemble(ex1i, smesh40, tgrid40, space=space)
+
+    fresh = elliptic.assemble(ex1i, smesh40, tgrid40)
+    shared = elliptic.assemble(ex1i, smesh40, tgrid40, space=build())
+    assert np.array_equal(shared.b, fresh.b)
+    assert np.array_equal(shared.t_m.toarray(), fresh.t_m.toarray())
+    assert np.array_equal(shared.t_k.toarray(), fresh.t_k.toarray())
 
 
 def test_singular_mass_block_raises_a_solver_error(ex1i_system):

@@ -137,7 +137,7 @@ def test_trapezoid_weights_partition_the_horizon():
 def test_oracle_with_full_trust_returns_the_background(ex1i):
     sm = mesh.build_spatial_mesh(0.0, 1.0, 10)
     tg = mesh.build_uniform_time_grid(1.0, 10)
-    u = forward.kkt_oracle(replace(ex1i, alpha=1e8), sm, tg)
+    u = forward.kkt_oracle(replace(ex1i, alpha=1e8), _space(ex1i, sm), tg)
     assert np.abs(u - ex1i.y_b(sm.nodes)).max() <= 1e-6
 
 
@@ -146,9 +146,10 @@ def test_oracle_satisfies_its_own_optimality_system(ex1i):
     for n in (10, 20):
         sm = mesh.build_spatial_mesh(0.0, 1.0, n)
         tg = mesh.build_uniform_time_grid(1.0, n)
-        u = forward.kkt_oracle(ex1i, sm, tg)
+        space = _space(ex1i, sm)
+        u = forward.kkt_oracle(ex1i, space, tg)
         cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tg)
-        residuals.append(forward.optimality_residual(ex1i, u, cfg, sm))
+        residuals.append(forward.optimality_residual(ex1i, u, cfg, space))
     # The classic-adjoint gradient is a different discretization of the same
     # functional, so the gap is consistency error, not optimizer error.
     assert residuals[0] <= 3e-3
@@ -159,8 +160,8 @@ def test_oracle_perturbation_raises_the_objective(ex1i):
     # Direct check of minimality: J grows in every probed direction.
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
     tg = mesh.build_uniform_time_grid(1.0, 8)
-    u = forward.kkt_oracle(ex1i, sm, tg)
     space = _space(ex1i, sm)
+    u = forward.kkt_oracle(ex1i, space, tg)
     M = space.M
     w = forward.trapezoid_time_weights(tg)
     cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tg)
@@ -186,7 +187,7 @@ def test_oracle_refuses_oversized_grids(ex1i):
     sm = mesh.build_spatial_mesh(0.0, 1.0, 100)
     tg = mesh.build_uniform_time_grid(1.0, 100)
     with pytest.raises(ValueError, match="cap"):
-        forward.kkt_oracle(ex1i, sm, tg)
+        forward.kkt_oracle(ex1i, _space(ex1i, sm), tg)
 
 
 def _sparse_lu_march(space, cfg, source, start, backward):
