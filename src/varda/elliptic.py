@@ -28,11 +28,13 @@ The known q boundary values Q_B (one column per spatial end) are lifted to
 the right-hand side through the same two time factors and the interior-row,
 boundary-column blocks of M and K_hat.
 
-The system stores the two time factors and the fem1d.SpatialOperatorMatrices
-that holds M_I, K_I and their eigenbasis: the space, built once per run and
-shared by every solve, replay and oracle on its mesh.  A is built only when
-read.  solve_sparse never forms A: its residuals use
-vec(T_M X M_I^T + T_K X K_I^T), X the time-major reshape of x, and since A
+The system stores the (diag, off) bands of the tridiagonal Mt and Kt,
+alpha, and the fem1d.SpatialOperatorMatrices that holds the bands of M_I,
+K_I and their eigenbasis: the space, built once per run and shared by every
+solve, replay and oracle on its mesh.  No sparse matrix is built on the way
+to a solution; A is built only when read.  solve_sparse never forms A: its
+residuals use vec(T_M X M_I + T_K X K_I), X the time-major reshape of x,
+T_M X and T_K X taken block by block from the bands, and since A
 is a sum of two Kronecker products the tensor-product direct method of
 Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies exactly.  One
 generalized eigenproblem K_I V = M_I V diag(lam) with V^T M_I V = I turns
@@ -129,24 +131,43 @@ class DofMap:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """A's time factors T_M, T_K, its spatial operator, the free-dof load and dof map."""
+    """A's time bands Mt, Kt and alpha, its spatial operator, the free-dof load and dof map."""
 
-    t_m: sp.csr_array
-    t_k: sp.csr_array
+    mt: tuple[np.ndarray, np.ndarray]
+    kt: tuple[np.ndarray, np.ndarray]
+    alpha: float
     space: fem1d.SpatialOperatorMatrices
     b: np.ndarray
     dofmap: DofMap
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A."""
-        X, space = x.reshape(self.t_m.shape[0], -1), self.space
-        return (self.t_m @ X @ space.m_inner.T + self.t_k @ X @ space.k_inner.T).ravel()
+        """A @ x without forming A: T_M X and T_K X block by block, then M_I and K_I."""
+        N, (md, mo), (kd, ko) = self.dofmap.tgrid.N, self.mt, self.kt
+        X = x.reshape(2 * N + 1, -1)
+        x_p, x_q = X[:N], X[N:]
+        mt_q = fem1d.tridiag_dot(md, mo, x_q)
+        mt_p = fem1d.tridiag_dot(md, mo, np.vstack([x_p, np.zeros_like(x_q[:1])]))
+        kd_p = np.r_[kd[0] + 1.0 / self.alpha, kd[1:N]]
+        tm_x = np.vstack([fem1d.tridiag_dot(kd_p, ko[: N - 1], x_p), mt_q])
+        tk_x = np.vstack([mt_q[:N], -mt_p])
+        # Sum row 0 in column order, e0 first, like every other row, so that each
+        # row rounds as a row-by-row sparse product of T_M and T_K would.
+        tk_x[0] = x_p[0] + md[0] * x_q[0] + mo[0] * x_q[1]
+        m_i, k_i = self.space.inner_bands
+        return (fem1d.tridiag_dot(*m_i, tm_x.T) + fem1d.tridiag_dot(*k_i, tk_x.T)).T.ravel()
 
     @cached_property
     def A(self) -> sp.csr_array:
         """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read."""
-        space = self.space
-        return (sp.kron(self.t_m, space.m_inner) + sp.kron(self.t_k, space.k_inner)).tocsr()
+        N, (kd, ko), space = self.dofmap.tgrid.N, self.kt, self.space
+
+        def band(diag, off):
+            return sp.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
+
+        mt, e0 = band(*self.mt), sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
+        t_m = sp.block_diag([band(kd[:N], ko[: N - 1]) + e0 / self.alpha, mt], format="csr")
+        t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
+        return (sp.kron(t_m, space.m_inner) + sp.kron(t_k, space.k_inner)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -208,30 +229,25 @@ def assemble(
     elif space.a is not problem.a or space.a0 is not problem.a0:
         raise ValueError("spatial operator was built from other a, a0 callables than the problem's")
 
-    N, d = tgrid.N, smesh.d
+    N = tgrid.N
     mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
 
-    e0 = sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
-    t_m = sp.block_diag([kt[:N, :N] + e0 / problem.alpha, mt], format="csr")
-    t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
-
-    # Lift the known q boundary values through the same two factors; the
-    # column slice ::d keeps the two boundary columns 0 and d.
+    # Lift the known q boundary values through the same two factors: T_M's
+    # q block is Mt and T_K's p-row q block Mt_N:.
     ends = np.array([smesh.x_left, smesh.x_right])
     q_boundary = -fem1d.sample(problem.y_d, tgrid.taus, ends)
-    b = -(
-        t_m[:, N:] @ q_boundary @ space.M[1:-1, ::d].T
-        + t_k[:, N:] @ q_boundary @ space.K[1:-1, ::d].T
-    )
-    b[:N] += _data_load(problem, space, tgrid)[:N, 1:-1]
-    b = b.ravel()
+    m_b, k_b = space.boundary_columns
+    mq = fem1d.tridiag_dot(*mt, q_boundary)
+    b_p = _data_load(problem, space, tgrid)[:N, 1:-1] - mq[:N] @ k_b.T
+    b = np.concatenate([b_p, -mq @ m_b.T]).ravel()
     # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
     with np.errstate(over="ignore"):
         if not np.isfinite(np.sum(b * b)):
             raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {np.abs(b).max():.3g})")
     return AssembledSystem(
-        t_m=t_m,
-        t_k=t_k,
+        mt=mt,
+        kt=kt,
+        alpha=problem.alpha,
         space=space,
         b=b,
         dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
@@ -246,17 +262,16 @@ def _factor(system: AssembledSystem) -> Callable[[np.ndarray], np.ndarray]:
     """
     lam, V = system.space.modes
     N, n = system.dofmap.tgrid.N, lam.size
-    t_m, mt = system.t_m, system.t_m[N:, N:]
+    (md, mo), (kd, ko) = system.mt, system.kt
 
     # Upper band of every mode matrix, modes one after another; the first
     # superdiagonal slot of each mode stays zero, which decouples the modes.
-    # The p block of t_m is Kt_NN with 1/alpha already on its first diagonal entry.
-    diag = t_m.diagonal()[:N] + np.outer(lam * lam, mt.diagonal()[:N])
+    diag = np.r_[kd[0] + 1.0 / system.alpha, kd[1:N]] + np.outer(lam * lam, md[:N])
     diag[:, 0] += lam
     sup = np.zeros((n, N))
-    sup[:, 1:] = t_m.diagonal(1)[: N - 1] + np.outer(lam * lam, mt.diagonal(1)[: N - 1])
+    sup[:, 1:] = ko[: N - 1] + np.outer(lam * lam, mo[: N - 1])
     modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
-    mass = la.cholesky_banded(np.stack([np.r_[0.0, mt.diagonal(1)], mt.diagonal()]))
+    mass = la.cholesky_banded(np.stack([np.r_[0.0, mo], md]))
 
     def solve(r: np.ndarray) -> np.ndarray:
         r_p = r[: N * n].reshape(N, n) @ V

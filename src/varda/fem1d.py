@@ -33,6 +33,7 @@ __all__ = [
     "time_quadrature",
     "assemble_spatial_matrices",
     "assemble_line_matrices",
+    "tridiag_dot",
 ]
 
 _GAUSS_RULES = {
@@ -65,7 +66,8 @@ class SpatialOperatorMatrices:
     the reaction coefficient a0(x).  Both are symmetric.  The space keeps
     its mesh, Gauss rule quad and a, a0 callables, is built once per run and
     is shared by every solve, replay and oracle on its mesh.  m_inner and
-    k_inner (M_I and K_I) and the eigenbasis modes are built on first read.
+    k_inner (M_I and K_I), their bands, the boundary columns the solver
+    lifts through, and the eigenbasis modes are built on first read.
     """
 
     smesh: SpatialMesh
@@ -82,6 +84,17 @@ class SpatialOperatorMatrices:
     @cached_property
     def k_inner(self) -> sp.csr_array:
         return self.K[1:-1, 1:-1]
+
+    @cached_property
+    def inner_bands(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """((diag, off), (diag, off)) bands of M_I and K_I, for tridiag_dot."""
+        return tuple((mat.diagonal()[1:-1], mat.diagonal(1)[1:-1]) for mat in (self.M, self.K))
+
+    @cached_property
+    def boundary_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """M[1:-1, ::d] and K[1:-1, ::d]: interior rows, the two boundary columns, dense."""
+        d = self.smesh.d
+        return self.M[1:-1, ::d].toarray(), self.K[1:-1, ::d].toarray()
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,30 +201,32 @@ def time_quadrature(tgrid: TimeGrid, quad_order: int, panels: int = 1):
     return t.reshape(tgrid.N, -1), w.reshape(tgrid.N, -1), lam.reshape(tgrid.N, -1)
 
 
-def assemble_line_matrices(nodes) -> tuple[sp.csr_array, sp.csr_array]:
+def assemble_line_matrices(nodes):
     """Coefficient-free mass and stiffness on an arbitrary ascending node set.
 
     Used for the temporal direction, where the adaptive grids are
     non-uniform and each interval contributes its own element matrices.
+    Both are symmetric tridiagonal and returned as bands,
+    ((m_diag, m_off), (k_diag, k_off)), for tridiag_dot.
     """
     nodes = np.asarray(nodes, dtype=float)
     lengths = np.diff(nodes)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(lengths <= 0.0):
         raise ValueError("need a strictly increasing 1-D node array")
-    n = nodes.size
-    ne = n - 1
-    left = np.arange(ne)
-    rows = np.concatenate([left, left, left + 1, left + 1])
-    cols = np.concatenate([left, left + 1, left, left + 1])
-    m_data = np.concatenate(
-        [lengths / 3.0, lengths / 6.0, lengths / 6.0, lengths / 3.0]
-    )
-    k_data = np.concatenate(
-        [1.0 / lengths, -1.0 / lengths, -1.0 / lengths, 1.0 / lengths]
-    )
-    mass = sp.coo_array((m_data, (rows, cols)), shape=(n, n)).tocsr()
-    stiffness = sp.coo_array((k_data, (rows, cols)), shape=(n, n)).tocsr()
-    return mass, stiffness
+    m_el, k_el = lengths / 3.0, 1.0 / lengths
+    # Each node's diagonal entry sums those of its one or two elements.
+    m_diag, k_diag = (np.r_[el, 0.0] + np.r_[0.0, el] for el in (m_el, k_el))
+    return (m_diag, lengths / 6.0), (k_diag, -k_el)
+
+
+def tridiag_dot(diag: np.ndarray, off: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with these bands times Y, along Y's first axis."""
+    shape = (-1,) + (1,) * (np.ndim(Y) - 1)
+    diag, off = diag.reshape(shape), off.reshape(shape)
+    out = diag * Y
+    out[1:] += off * Y[:-1]
+    out[:-1] += off * Y[1:]
+    return out
 
 
 def assemble_spatial_matrices(

@@ -137,6 +137,13 @@ def test_marking_returns_empty_on_zero_indicators():
     assert adaptivity.mark(ind, AdaptConfig(strategy="DOERFLER")) == set()
 
 
+def test_doerfler_marking_stops_on_an_exact_tie_with_the_threshold():
+    # One of two equal intervals carries exactly theta = 0.5 of the total.
+    ind = ErrorIndicators(per_interval=np.array([1.0, 1.0]))
+    marks = adaptivity.mark(ind, AdaptConfig(strategy="DOERFLER", theta_mark=0.5))
+    assert marks == {0}
+
+
 def test_doerfler_marking_is_minimal_over_many_cases():
     rng = np.random.default_rng(0)
     for case in range(1000):

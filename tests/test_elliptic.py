@@ -197,7 +197,10 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
 
     mats = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=quad_order)
     k_hat = mats.K
-    mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
+    mt, kt = (
+        sp.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
+        for diag, off in fem1d.assemble_line_matrices(tgrid.taus)
+    )
     e00 = sp.coo_array(([1.0], ([0], [0])), shape=(N + 1, N + 1))
     a_pp = (sp.kron(kt, mats.M) + sp.kron(e00, k_hat + mats.M / spec.alpha)).tocsr()
     coupling = sp.kron(mt, k_hat).tocsr()
@@ -319,8 +322,8 @@ def test_assemble_refuses_a_space_built_for_something_else(ex1i, smesh40, tgrid4
     fresh = elliptic.assemble(ex1i, smesh40, tgrid40)
     shared = elliptic.assemble(ex1i, smesh40, tgrid40, space=build())
     assert np.array_equal(shared.b, fresh.b)
-    assert np.array_equal(shared.t_m.toarray(), fresh.t_m.toarray())
-    assert np.array_equal(shared.t_k.toarray(), fresh.t_k.toarray())
+    for shared_band, fresh_band in zip(shared.mt + shared.kt, fresh.mt + fresh.kt):
+        assert np.array_equal(shared_band, fresh_band)
 
 
 def test_singular_mass_block_raises_a_solver_error(ex1i_system):
@@ -328,7 +331,81 @@ def test_singular_mass_block_raises_a_solver_error(ex1i_system):
     singular = replace(ex1i_system, space=replace(space, M=0.0 * space.M))
     with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
         elliptic.solve_sparse(singular)
-    N, t_m = ex1i_system.dofmap.tgrid.N, ex1i_system.t_m
-    flat_mt = sp.block_diag([t_m[:N, :N], 0.0 * t_m[N:, N:]], format="csr")
+    flat_mt = tuple(0.0 * band for band in ex1i_system.mt)
     with pytest.raises(elliptic.EllipticSolverError, match="factorization failed"):
-        elliptic.solve_sparse(replace(ex1i_system, t_m=flat_mt))
+        elliptic.solve_sparse(replace(ex1i_system, mt=flat_mt))
+
+
+def test_data_load_puts_each_interval_on_its_own_time_hats():
+    # The data residual f = t is linear in t, so Gauss-3 integrates each
+    # interval's t (1 - lam) and t lam exactly, and y_b = y_d = 0 leaves no
+    # initial term: the load is the time-hat integrals of t times the
+    # spatial hat integrals.
+    spec = problems.ProblemSpec(
+        a=lambda x: 0.1 + np.zeros_like(np.asarray(x, dtype=float)),
+        a0=_zero_coefficient,
+        alpha=1.0,
+        T=1.0,
+        domain=(0.0, 1.0),
+        f=lambda t, x: t + np.zeros_like(np.asarray(x, dtype=float)),
+        y_d=_zero,
+        y_d_t=_zero,
+        Ay_d=_zero,
+        y_b=_zero_coefficient,
+    )
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    tg = mesh.build_time_grid([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    t0, dt = tg.taus[:-1], tg.deltas
+    time_hats = np.zeros(tg.N + 1)
+    time_hats[:-1] += dt * (t0 / 2.0 + dt / 6.0)  # integral of t (1 - lam)
+    time_hats[1:] += dt * (t0 / 2.0 + dt / 3.0)  # integral of t lam
+    space_hats = np.full(sm.d + 1, sm.h)
+    space_hats[[0, -1]] = sm.h / 2.0
+    expected = np.outer(time_hats, space_hats)
+    np.testing.assert_allclose(elliptic._data_load(spec, space, tg), expected, rtol=1e-13, atol=0.0)
+
+
+def _graded_towards_zero(bisections):
+    tgrid = mesh.build_uniform_time_grid(1.0, 20)
+    for _ in range(bisections):
+        tgrid = mesh.bisect_intervals(tgrid, [0])
+    return tgrid
+
+
+def test_residual_contract_holds_after_refinement_on_a_graded_grid():
+    # Min dt 7.6e-7: one direct solve alone reaches about 1.6e-10, so the
+    # 1e-10 contract needs the refinement step.
+    spec, _ = problems.example3(eps=0.05)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 120)
+    sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, _graded_towards_zero(16)))
+    assert sol.solver_residual <= 1e-10
+
+
+def test_residual_contract_fails_loudly_below_its_known_limit():
+    # Min dt 4.8e-8: about 9e-10 even after refinement, which must raise
+    # rather than pass under a looser contract.
+    spec, _ = problems.example3(eps=0.05)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 120)
+    system = elliptic.assemble(spec, sm, _graded_towards_zero(20))
+    with pytest.raises(elliptic.EllipticSolverError, match="contract is 1e-10"):
+        elliptic.solve_sparse(system)
+
+
+def test_assembly_and_solve_use_no_scipy_sparse(monkeypatch, ex1i, smesh40, tgrid40):
+    # The space is built once per run; its bands and eigenbasis are read
+    # before the sparse constructors are taken away.
+    space = fem1d.assemble_spatial_matrices(smesh40, ex1i.a, ex1i.a0)
+    space.inner_bands, space.boundary_columns, space.modes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse called on the solve path")
+
+    for name in ("coo_array", "csr_array", "diags_array", "block_array", "block_diag", "kron"):
+        monkeypatch.setattr(sp, name, refuse)
+    system = elliptic.assemble(ex1i, smesh40, tgrid40, space=space)
+    sol = elliptic.solve_sparse(system)
+    assert sol.solver_residual <= 1e-10
+    arrays = [system.b, *system.mt, *system.kt, system.dofmap.q_boundary]
+    assert all(type(array) is np.ndarray for array in arrays)
+    assert "A" not in vars(system)

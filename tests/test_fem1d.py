@@ -31,9 +31,13 @@ def test_element_matrices_match_closed_forms(h):
     assert np.abs(em.stiffness - stiff_exact).max() <= 1e-14
 
 
+def _dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_line_matrices_agree_with_element_assembly():
     nodes = np.linspace(0.0, 1.0, 7)
-    mass, stiffness = fem1d.assemble_line_matrices(nodes)
+    mass, stiffness = (_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
     n = nodes.size
     mass_ref = np.zeros((n, n))
     stiff_ref = np.zeros((n, n))
@@ -41,13 +45,13 @@ def test_line_matrices_agree_with_element_assembly():
         em = fem1d.element_matrices(nodes[e + 1] - nodes[e])
         mass_ref[e : e + 2, e : e + 2] += em.mass
         stiff_ref[e : e + 2, e : e + 2] += em.stiffness
-    np.testing.assert_allclose(mass.toarray(), mass_ref, atol=1e-15)
-    np.testing.assert_allclose(stiffness.toarray(), stiff_ref, atol=1e-15)
+    np.testing.assert_allclose(mass, mass_ref, atol=1e-15)
+    np.testing.assert_allclose(stiffness, stiff_ref, atol=1e-15)
 
 
 def test_line_matrices_on_nonuniform_nodes():
     nodes = np.array([0.0, 0.1, 0.4, 1.0])
-    mass, stiffness = fem1d.assemble_line_matrices(nodes)
+    mass, stiffness = (_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
     # Constants lie in the stiffness kernel and integrate to the length.
     ones = np.ones(nodes.size)
     assert np.abs(stiffness @ ones).max() <= 1e-14
@@ -100,7 +104,7 @@ def test_constant_diffusion_scales_the_stiffness():
     mats = fem1d.assemble_spatial_matrices(sm, a, a0)
     _, stiffness = fem1d.assemble_line_matrices(sm.nodes)
     # Zero reaction adds nothing, so K is the scaled stiffness alone.
-    assert np.abs((mats.K - nu * stiffness).toarray()).max() <= 1e-15
+    assert np.abs(mats.K.toarray() - nu * _dense(*stiffness)).max() <= 1e-15
 
 
 def test_spatial_matrices_are_symmetric_and_positive():
