@@ -11,11 +11,9 @@ the data alone, before any solve.  compute_indicators therefore accepts the
 solution or None; the data-only route is what lets the loop build a grid
 without solving once per cycle.
 
-Bisection leaves every unmarked interval as it was, so adapt_loop samples
-each interval's data once, when the interval is created, and keeps the
-result while the interval lives: its eta^2 on the data-only route, its
-sampled data residual on the reference route, where only the -A q term is
-recomputed from each cycle's solve.
+An interval's data enter only through its moments (see _Integrand), which
+adapt_loop computes once, when bisection creates the interval, and keeps
+while it lives; each cycle then costs O(N d q) on top of its solve.
 """
 
 from __future__ import annotations
@@ -128,13 +126,12 @@ class AdaptHistory:
 
 
 class _Integrand:
-    """The indicator's integrand on one spatial mesh and its weighted square.
+    """The indicator's integrand on one spatial mesh, reduced to moments in time.
 
-    data samples the data residual g = f - dt y_d - A y_d at the spatial
-    Gauss points; eta_sq integrates (g - A q)^2 over one time interval.
-    a'(x) and a0(x), which only the -A q term needs, are sampled on its
-    first use and kept.  Overflow is left to ErrorIndicators, which rejects
-    the non-finite result.
+    moments reduces one interval's samples of the data residual g = f - dt y_d
+    - A y_d to (e, m) and eta_sq scores every interval from those.  a'(x) and
+    a0(x), which only -A q needs, are sampled on first use and kept.  Overflow
+    is left to ErrorIndicators, which rejects the non-finite result.
     """
 
     def __init__(self, problem: ProblemSpec, smesh: SpatialMesh, quad_order: int) -> None:
@@ -151,29 +148,44 @@ class _Integrand:
         a_lo = fem1d._coefficient_at(self.problem.a, xg - delta)
         return (a_hi - a_lo) / (2.0 * delta), fem1d._coefficient_at(self.problem.a0, xg)
 
-    def data(self, t: np.ndarray) -> np.ndarray:
-        """g on the tensor grid of time nodes t x the Gauss points: t.shape + quad.x.shape."""
-        return self.problem.data_residual(t, self.quad.x)
+    @cached_property
+    def hat_products(self) -> np.ndarray:
+        """The time rule's integrals of (1 - lam)^2, (1 - lam) lam and lam^2 over [0, 1]."""
+        unit = build_uniform_time_grid(1.0, 1)
+        _, (w,), (lam,) = fem1d.time_quadrature(unit, self.quad.order, panels=_TIME_PANELS)
+        return np.stack(((1.0 - lam) ** 2, (1.0 - lam) * lam, lam * lam)) @ w
 
-    def eta_sq(self, g, dt, w, q=None, lam=None) -> float:
-        """dt^2 times the w-weighted integral of (g - A q)^2 over one interval.
+    def moments(self, g, w, dt, lam=None) -> tuple[float, np.ndarray | None]:
+        """(e, m): dt^2 times the integral of g^2, and the integrals of (1 - lam) g and lam g.
 
-        g, shaped (nt,) + quad.x.shape, is the interval's data residual at
-        its nt time nodes and w their weights.  q, when given, holds the
-        solution's nodal rows at the two ends of the interval and lam the
-        place of the time nodes in it.
+        g, shaped (nt,) + quad.x.shape, holds g at one interval's time nodes, w
+        their weights, dt its length and lam their place in it.  e is the
+        data-only eta^2; m is None without lam, as on the data-only route.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            if q is not None:
-                da, a0 = self.coefficients
-                lam = lam[:, None]
-                q_slice = (1.0 - lam) * q[0] + lam * q[1]
-                phi = self.quad.phi
-                q_at = q_slice[:, :-1, None] * phi[0] + q_slice[:, 1:, None] * phi[1]
-                q_x = (np.diff(q_slice, axis=1) / self.smesh.h)[:, :, None]
-                # p_tt is zero on every element; A q contributes the rest.
-                g = g + (da * q_x - a0 * q_at)
-            return dt * dt * (w @ ((g * g) @ self.quad.w).sum(axis=1))
+            e = dt * dt * (w @ ((g * g) @ self.quad.w).sum(axis=1))
+            return e, (None if lam is None else np.tensordot(np.stack((1.0 - lam, lam)) * w, g, 1))
+
+    def eta_sq(self, moments, dt: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+        """dt^2 times the integral of (g - A q)^2 over each interval, from its moments.
+
+        moments holds the N intervals' (e, m), dt their lengths and q, if
+        given, the solution's nodal rows at the N + 1 time nodes.  r = -A q =
+        a' q_x - a0 q is linear in time on an interval, from r_i to r_(i+1),
+        so the integral of (g + r)^2 is that of g^2 plus 2 (r_i m_0 + r_(i+1)
+        m_1) + dt (c_0 r_i^2 + 2 c_1 r_i r_(i+1) + c_2 r_(i+1)^2), c = hat_products.
+        """
+        e, m = zip(*moments)
+        if q is None:
+            return np.array(e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (da, a0), phi, w = self.coefficients, self.quad.phi, self.quad.w
+            q_at = q[:, :-1, None] * phi[0] + q[:, 1:, None] * phi[1]
+            r = da * (np.diff(q, axis=1) / self.smesh.h)[:, :, None] - a0 * q_at
+            (r0, r1), m, (c0, c1, c2) = (r[:-1], r[1:]), np.array(m), self.hat_products
+            square = c0 * r0 * r0 + 2.0 * c1 * r0 * r1 + c2 * r1 * r1
+            terms = 2.0 * (r0 * m[:, 0] + r1 * m[:, 1]) + dt[:, None, None] * square
+            return np.array(e) + dt * dt * (terms @ w).sum(axis=1)
 
 
 def compute_indicators(
@@ -183,7 +195,7 @@ def compute_indicators(
     tgrid: TimeGrid,
     quad_order: int = 3,
 ) -> ErrorIndicators:
-    """Tensor-Gauss evaluation of the squared indicators.
+    """Tensor-Gauss evaluation of the squared indicators, through _Integrand's moments.
 
     When sol is given, the elementwise contributions of the discrete
     solution enter the integrand: p_tt is identically zero on linear
@@ -207,11 +219,12 @@ def compute_indicators(
     t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
 
     # One interval at a time, so the sampled data never scale with N.
-    eta_sq = np.zeros(tgrid.N)
-    for i in range(tgrid.N):
-        q = None if sol is None else sol.q.values[i : i + 2]
-        eta_sq[i] = integrand.eta_sq(integrand.data(t[i]), tgrid.deltas[i], w_t[i], q, lam[i])
-    return ErrorIndicators(per_interval=eta_sq)
+    q, lams = (None, [None] * tgrid.N) if sol is None else (sol.q.values, lam)
+    moments = [
+        integrand.moments(problem.data_residual(ti, integrand.quad.x), wi, dt, li)
+        for ti, wi, dt, li in zip(t, w_t, tgrid.deltas, lams)
+    ]
+    return ErrorIndicators(per_interval=integrand.eta_sq(moments, tgrid.deltas, q))
 
 
 def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
@@ -272,8 +285,8 @@ def adapt_loop(
     indicators being computable from the data.
 
     Each interval's data are sampled once, in one batch with the other
-    intervals of its cycle, when bisection creates it; the indicators equal
-    those of compute_indicators on every cycle's grid.
+    intervals of its cycle, when bisection creates it, and only its moments
+    are kept; the indicators equal compute_indicators' on every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
@@ -283,34 +296,21 @@ def adapt_loop(
         solve_with_error = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
     integrand = _Integrand(problem, smesh, quad_order)
 
-    # Live interval (t0, t1) -> its eta^2 on the data-only route, its sampled
-    # data residual on the reference route.  Bisected parents drop out.
-    cache: dict[tuple[float, float], float | np.ndarray] = {}
+    # Live interval (t0, t1) -> its moments (e, m), m None on the data-only
+    # route.  Bisected parents drop out.
+    cache: dict[tuple[float, float], tuple[float, np.ndarray | None]] = {}
     cycle = 0
     while True:
-        sol = None
-        true_error = None
-        if solve_with_error is not None:
-            sol, true_error = solve_with_error(tgrid)
+        sol, true_error = (None, None) if solve_with_error is None else solve_with_error(tgrid)
 
         t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
         keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
         fresh = [i for i, key in enumerate(keys) if key not in cache]
-        for i, g in zip(fresh, integrand.data(t[fresh])):
-            cache[keys[i]] = g if sol is not None else integrand.eta_sq(g, tgrid.deltas[i], w_t[i])
+        for i, g in zip(fresh, problem.data_residual(t[fresh], integrand.quad.x)):
+            cache[keys[i]] = integrand.moments(g, w_t[i], tgrid.deltas[i], None if sol is None else lam[i])
         cache = {key: cache[key] for key in keys}
-        if sol is None:
-            eta_sq = np.array(list(cache.values()))
-        else:
-            q = sol.q.values
-            eta_sq = np.array(
-                [
-                    integrand.eta_sq(g, tgrid.deltas[i], w_t[i], q[i : i + 2], lam[i])
-                    for i, g in enumerate(cache.values())
-                ]
-            )
-
-        ind = ErrorIndicators(per_interval=eta_sq)
+        q = None if sol is None else sol.q.values
+        ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas, q))
         history.append(
             CycleRecord(
                 cycle=cycle,

@@ -266,7 +266,7 @@ def assemble_spatial_matrices(
             cols.append(conn[j])
             m_data.append(np.full(ne, m_el[i, j]))
             k_data.append(k_scale * sign[i, j])
-            m0_data.append((h / 2.0) * (a0_vals * phi[i] * phi[j]) @ gw)
+            m0_data.append((h / 2.0) * (a0_vals * (phi[i] * phi[j])) @ gw)
 
     n = smesh.d + 1
     rows = np.concatenate(rows)

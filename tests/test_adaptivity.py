@@ -17,6 +17,48 @@ def _zero_coefficient(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _forced_variable_problem():
+    """variable_coefficient_problem with a forcing that is not symmetric in time.
+
+    Its data residual g = f is nonzero, so the cross term of (g - A q)^2 counts,
+    and it is quadratic in t, so Gauss rules of 3 or more nodes integrate the
+    indicator exactly in time.
+    """
+
+    def f(t, x):
+        x = np.asarray(x, dtype=float)
+        return (1.0 + 4.0 * t * t) * np.sin(np.pi * x) * (1.0 + x)
+
+    return replace(variable_coefficient_problem(), f=f)
+
+
+def _brute_force_indicators(problem, smesh, taus, q):
+    """dtau^2 times the integral of (f - A q)^2 on each interval, point by point.
+
+    The problem has y_d = 0, so the data residual is f.  On each cell q is
+    linear in x, so A q = -a' q_x + a0 q.  Time uses 5 Gauss nodes per
+    interval, exact for the quartic integrand.  Space uses the indicator's 3
+    Gauss points on each cell and its central difference for a', bit for
+    bit: the difference turns a last-bit change of x into 1e-11 in a'.
+    """
+    tp, tw = np.polynomial.legendre.leggauss(5)
+    xp, xw = fem1d.gauss_rule(3)
+    s, xw = (xp + 1.0) / 2.0, smesh.h * xw / 2.0
+    x = 0.5 * (smesh.nodes[:-1] + smesh.nodes[1:])[:, None] + 0.5 * smesh.h * xp
+    da = (problem.a(x + 1e-6) - problem.a(x - 1e-6)) / 2e-6
+    eta_sq = []
+    for i, (t0, t1) in enumerate(zip(taus[:-1], taus[1:])):
+        dt, total = t1 - t0, 0.0
+        for lam, wt in zip((tp + 1.0) / 2.0, dt * tw / 2.0):
+            qt = (1.0 - lam) * q[i] + lam * q[i + 1]
+            q_at = (1.0 - s) * qt[:-1, None] + s * qt[1:, None]
+            q_x = (np.diff(qt) / smesh.h)[:, None]
+            aq = -da * q_x + problem.a0(x) * q_at
+            total += wt * (xw * (problem.f(t0 + lam * dt, x) - aq) ** 2).sum()
+        eta_sq.append(dt * dt * total)
+    return np.array(eta_sq)
+
+
 def _poly_problem():
     """Zero data, forcing t^2 x (1 - x): the indicator has a closed form."""
 
@@ -85,8 +127,28 @@ def test_solution_terms_drop_out_for_constant_coefficients():
     sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, tg))
     with_sol = adaptivity.compute_indicators(spec, sol, sm, tg)
     data_only = adaptivity.compute_indicators(spec, None, sm, tg)
-    assert np.abs(with_sol.per_interval - data_only.per_interval).max() <= 1e-12
-    assert abs(with_sol.total - data_only.total) <= 1e-12
+    assert np.array_equal(with_sol.per_interval, data_only.per_interval)
+    assert with_sol.total == data_only.total
+
+
+def test_indicator_matches_a_brute_force_quadrature_with_variable_coefficients():
+    # Nonzero f and variable a, a0: the sign of -A q and the time
+    # interpolation of q both show in the cross term 2 f (-A q).
+    spec = _forced_variable_problem()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
+    tg = mesh.build_time_grid([0.0, 0.1, 0.35, 0.4, 0.7, 1.0])
+    sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, tg))
+    ind = adaptivity.compute_indicators(spec, sol, sm, tg)
+    expected = _brute_force_indicators(spec, sm, tg.taus, sol.q.values)
+    np.testing.assert_allclose(ind.per_interval, expected, rtol=1e-12)
+    # The loop scores each cycle's grid from its own solve the same way.
+    cfg = AdaptConfig(n_initial=3, n_max=7, record_reference_error=True)
+    _, history = adaptivity.adapt_loop(spec, sm, cfg)
+    assert len(history.cycles) == 5
+    for rec in history.cycles:
+        q = elliptic.solve_sparse(elliptic.assemble(spec, sm, mesh.build_time_grid(rec.taus))).q
+        expected = _brute_force_indicators(spec, sm, rec.taus, q.values)
+        np.testing.assert_allclose(rec.eta_sq, expected, rtol=1e-12)
 
 
 def test_indicator_ranks_the_ramp_interval_first():
@@ -285,8 +347,10 @@ def _fresh_loop(problem, smesh, cfg):
         (problems.example2(), True),
         # Variable a(x) and a0(x): the -A q term carries the whole indicator.
         (variable_coefficient_problem(), True),
+        # Nonzero f as well: the cross term 2 f (-A q) counts.
+        (_forced_variable_problem(), True),
     ],
-    ids=["example3-data-only", "example2-reference", "variable-reference"],
+    ids=["example3-data-only", "example2-reference", "variable-reference", "variable-forced-reference"],
 )
 def test_cached_loop_matches_a_fresh_loop(problem, reference, strategy):
     sm = mesh.build_spatial_mesh(0.0, 1.0, 12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import nodal
+from conftest import nodal, variable_coefficient_problem
 from varda import fem1d, mesh, problems
 
 
@@ -125,6 +125,15 @@ def test_spatial_matrices_are_symmetric_and_positive():
         assert v @ (mats.K @ v) > 0.0
         assert v @ (diffusion @ v) >= -1e-13
         assert v @ (reaction @ v) >= -1e-13
+
+
+def test_stiffness_is_bitwise_symmetric_with_variable_reaction():
+    # la.eigh reads K_I's lower triangle and the banded products its upper
+    # band, so both must hold the same bits.
+    spec = variable_coefficient_problem()
+    mats = fem1d.assemble_spatial_matrices(mesh.build_spatial_mesh(0.0, 1.0, 40), spec.a, spec.a0)
+    dense = mats.K.toarray()
+    assert np.array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize("name", problems.CATALOG)
