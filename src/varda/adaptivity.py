@@ -6,10 +6,11 @@ The indicator for interval I_i is
               (f - dt y_d - A y_d + p_tt - A q)^2
 
 With piecewise-linear elements p_tt vanishes on every element and the
-second-derivative part of A q does too, so the indicator is computable from
-the data alone, before any solve.  compute_indicators therefore accepts the
-solution or None; the data-only route is what lets the loop build a grid
-without solving once per cycle.
+second-derivative part of A q does too.  For constant a and a0 = 0, as on
+every catalog problem, A q is zero as well and the indicator is computable
+from the data alone, before any solve; compute_indicators therefore accepts
+the solution or None.  Otherwise -A q = a' q_x - a0 q enters, and the loop's
+reference route, which passes its solutions, can build another grid.
 
 An interval's data enter only through its moments (see _Integrand), which
 adapt_loop computes once, when bisection creates the interval, and keeps
@@ -77,7 +78,9 @@ class AdaptConfig:
     strategy MAX bisects the single worst interval per cycle; DOERFLER
     bisects a minimal set carrying at least theta_mark of the total squared
     indicator.  Errors name the CLI keys (adapt.theta for theta_mark), since
-    `varda adapt` reports them as they are.
+    `varda adapt` reports them as they are.  record_reference_error puts each
+    cycle's solution into the indicator: unless a is constant and a0 = 0,
+    that can change the grid.
     """
 
     strategy: str = "MAX"
@@ -103,7 +106,7 @@ class AdaptConfig:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """State of one adaptive cycle: grid, indicators, optional true error."""
+    """One cycle: grid, indicators, and the p(0) errors of it and of the uniform grid (or None)."""
 
     cycle: int
     n_intervals: int
@@ -111,6 +114,7 @@ class CycleRecord:
     eta_sq: np.ndarray
     eta_total: float
     true_error: float | None
+    uniform_error: float | None
 
 
 @dataclass
@@ -202,8 +206,9 @@ def compute_indicators(
     elements, and on each element q_xx = 0, so A q = -a'(x) q_x + a0(x) q
     and the integrand gains -A q.  For constant diffusion and zero reaction
     these contributions vanish and the result matches the data-only route
-    exactly.  sol must live on smesh and tgrid; other grids raise
-    ValueError, and so does an indicator that overflows.
+    exactly; otherwise the two routes differ.  sol must live on smesh and
+    tgrid; other grids raise ValueError, and so does an indicator that
+    overflows.
 
     Each interval is integrated with composite Gauss over fixed sub-panels:
     early in a refinement run the intervals are much wider than the data
@@ -280,9 +285,9 @@ def adapt_loop(
 
     Stops once the grid has at least n_max intervals or nothing is marked.
     With record_reference_error the loop also solves the space-time system
-    every cycle and records the L2 gap of p(0) against a solve on a uniform
-    grid with 4 * n_max intervals; otherwise no solve happens at all, the
-    indicators being computable from the data.
+    every cycle, on its grid and on the uniform grid with as many intervals,
+    and records both L2 gaps of p(0) against one solve on a uniform grid
+    with 4 * n_max intervals; otherwise no solve happens at all.
 
     Each interval's data are sampled once, in one batch with the other
     intervals of its cycle, when bisection creates it, and only its moments
@@ -301,7 +306,10 @@ def adapt_loop(
     cache: dict[tuple[float, float], tuple[float, np.ndarray | None]] = {}
     cycle = 0
     while True:
-        sol, true_error = (None, None) if solve_with_error is None else solve_with_error(tgrid)
+        sol, true_error, uniform_error = None, None, None
+        if solve_with_error is not None:
+            sol, true_error = solve_with_error(tgrid)
+            uniform_error = solve_with_error(build_uniform_time_grid(problem.T, tgrid.N))[1]
 
         t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
         keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
@@ -319,6 +327,7 @@ def adapt_loop(
                 eta_sq=ind.per_interval.copy(),
                 eta_total=float(np.sqrt(ind.total)),
                 true_error=true_error,
+                uniform_error=uniform_error,
             )
         )
         if tgrid.N >= cfg.n_max:
@@ -342,9 +351,9 @@ def uniform_initial_errors(
 ) -> np.ndarray:
     """L2(Omega) gaps of p(0) on uniform grids against a finer uniform solve.
 
-    Companion to the record_reference_error bookkeeping of adapt_loop: same
-    reference resolution and same norm, so the adaptive and uniform columns
-    of an error-vs-N comparison are measured identically.
+    With n_reference = 4 * n_max and the loop's counts these equal the
+    uniform_error of adapt_loop's records bitwise; this is an independent
+    recomputation of that column, built with its own reference solve.
     """
     solve_with_error = _reference_solver(problem, smesh, n_reference, quad_order)
     return np.asarray(

@@ -160,12 +160,8 @@ class AssembledSystem:
     def A(self) -> sp.csr_array:
         """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read."""
         N, (kd, ko), space = self.dofmap.tgrid.N, self.kt, self.space
-
-        def band(diag, off):
-            return sp.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
-
-        mt, e0 = band(*self.mt), sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
-        t_m = sp.block_diag([band(kd[:N], ko[: N - 1]) + e0 / self.alpha, mt], format="csr")
+        mt, e0 = fem1d.band_matrix(*self.mt), sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
+        t_m = sp.block_diag([fem1d.band_matrix(kd[:N], ko[: N - 1]) + e0 / self.alpha, mt], format="csr")
         t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
         return (sp.kron(t_m, space.m_inner) + sp.kron(t_k, space.k_inner)).tocsr()
 

@@ -33,6 +33,7 @@ __all__ = [
     "time_quadrature",
     "assemble_spatial_matrices",
     "assemble_line_matrices",
+    "band_matrix",
     "tridiag_dot",
 ]
 
@@ -201,6 +202,16 @@ def time_quadrature(tgrid: TimeGrid, quad_order: int, panels: int = 1):
     return t.reshape(tgrid.N, -1), w.reshape(tgrid.N, -1), lam.reshape(tgrid.N, -1)
 
 
+def _bands(e00: np.ndarray, e01: np.ndarray, e11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) summed from each element's entries; element i joins nodes i, i + 1."""
+    return np.r_[e00, 0.0] + np.r_[0.0, e11], e01
+
+
+def band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
+    """The symmetric tridiagonal matrix with these bands, as CSR."""
+    return sp.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
+
+
 def assemble_line_matrices(nodes):
     """Coefficient-free mass and stiffness on an arbitrary ascending node set.
 
@@ -214,9 +225,7 @@ def assemble_line_matrices(nodes):
     if nodes.ndim != 1 or nodes.size < 2 or np.any(lengths <= 0.0):
         raise ValueError("need a strictly increasing 1-D node array")
     m_el, k_el = lengths / 3.0, 1.0 / lengths
-    # Each node's diagonal entry sums those of its one or two elements.
-    m_diag, k_diag = (np.r_[el, 0.0] + np.r_[0.0, el] for el in (m_el, k_el))
-    return (m_diag, lengths / 6.0), (k_diag, -k_el)
+    return _bands(m_el, lengths / 6.0, m_el), _bands(k_el, -k_el, k_el)
 
 
 def tridiag_dot(diag: np.ndarray, off: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -251,28 +260,12 @@ def assemble_spatial_matrices(
         raise ValueError(f"diffusion coefficient is not positive at x={bad}")
     a0_vals = _coefficient_at(a0, xg)
 
-    ne = smesh.d
-    left = np.arange(ne)
-    conn = np.stack([left, left + 1])
-
     m_el = element_matrices(h).mass
     k_scale = (a_vals @ gw) / (2.0 * h)
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-    rows, cols, m_data, k_data, m0_data = [], [], [], [], []
-    for i in range(2):
-        for j in range(2):
-            rows.append(conn[i])
-            cols.append(conn[j])
-            m_data.append(np.full(ne, m_el[i, j]))
-            k_data.append(k_scale * sign[i, j])
-            m0_data.append((h / 2.0) * (a0_vals * (phi[i] * phi[j])) @ gw)
-
-    n = smesh.d + 1
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-
-    def _build(data) -> sp.csr_array:
-        return sp.coo_array((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
-
-    return SpatialOperatorMatrices(smesh, quad, a, a0, _build(m_data), _build(k_data) + _build(m0_data))
+    pairs = ((0, 0), (0, 1), (1, 1))
+    M = band_matrix(*_bands(*(np.full(smesh.d, m_el[ij]) for ij in pairs)))
+    k_diag, k_off = _bands(k_scale, -k_scale, k_scale)
+    # Banding diffusion and reaction apart fixes the rounding order of K's diagonal.
+    r_diag, r_off = _bands(*((h / 2.0) * (a0_vals * (phi[i] * phi[j])) @ gw for i, j in pairs))
+    K = band_matrix(k_diag + r_diag, k_off + r_off)
+    return SpatialOperatorMatrices(smesh, quad, a, a0, M, K)

@@ -16,6 +16,7 @@ nu and zero reaction:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -57,15 +58,35 @@ def _zero(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero_coefficient(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _constant(value: float) -> Callable:
     def coefficient(x):
         return np.full_like(np.asarray(x, dtype=float), value)
 
     return coefficient
+
+
+def _unit_square(alpha: float, nu: float, f, y_d, y_d_t, y_b) -> ProblemSpec:
+    """A catalog problem: a = nu, a0 = 0 and T = 1 on the domain (0, 1).
+
+    Every catalog y_d is sin(pi x) times a function of t, so A y_d = nu pi^2 y_d.
+    """
+    rate = np.pi * np.pi * nu
+
+    def ay_d(t, x):
+        return rate * y_d(t, x)
+
+    return ProblemSpec(
+        a=_constant(nu),
+        a0=_constant(0.0),
+        alpha=alpha,
+        T=1.0,
+        domain=(0.0, 1.0),
+        f=f,
+        y_d=y_d,
+        y_d_t=y_d_t,
+        Ay_d=ay_d,
+        y_b=y_b,
+    )
 
 
 def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
@@ -86,9 +107,6 @@ def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
     def y_d_t(t, x):
         return -rate * y_d(t, x)
 
-    def ay_d(t, x):
-        return rate * y_d(t, x)
-
     if variant == "i":
         def y_b(x):
             return 0.25 - (x - 0.5) ** 2
@@ -96,18 +114,7 @@ def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
         def y_b(x):
             return np.sin(2.0 * np.pi * x)
 
-    return ProblemSpec(
-        a=_constant(nu),
-        a0=_zero_coefficient,
-        alpha=alpha,
-        T=1.0,
-        domain=(0.0, 1.0),
-        f=_zero,
-        y_d=y_d,
-        y_d_t=y_d_t,
-        Ay_d=ay_d,
-        y_b=y_b,
-    )
+    return _unit_square(alpha, nu, _zero, y_d, y_d_t, y_b)
 
 
 def example2_inflow(nu: float = 0.1, eps: float = 0.01) -> Callable:
@@ -159,24 +166,10 @@ def example2(alpha: float = 0.01, nu: float = 0.1, eps: float = 0.01) -> Problem
     def y_d_t(t, x):
         return -rate * y_d(t, x) + inflow(t, x)
 
-    def ay_d(t, x):
-        return rate * y_d(t, x)
-
     def y_b(x):
         return np.sin(np.pi * x)
 
-    return ProblemSpec(
-        a=_constant(nu),
-        a0=_zero_coefficient,
-        alpha=alpha,
-        T=1.0,
-        domain=(0.0, 1.0),
-        f=_zero,
-        y_d=y_d,
-        y_d_t=y_d_t,
-        Ay_d=ay_d,
-        y_b=y_b,
-    )
+    return _unit_square(alpha, nu, _zero, y_d, y_d_t, y_b)
 
 
 # The clamp below is exact: for 0 < u <= 1e-3 the value exp(-1/u) already
@@ -275,25 +268,10 @@ def example3(
     def y_d_t(t, x):
         return bump_sigma_dtt(t, m, eps) * np.sin(np.pi * x)
 
-    def ay_d(t, x):
-        return rate * y_d(t, x)
-
     def y_b(x):
         return (1.0 / alpha + rate) * sigma0 * np.sin(np.pi * x)
 
-    spec = ProblemSpec(
-        a=_constant(nu),
-        a0=_zero_coefficient,
-        alpha=alpha,
-        T=1.0,
-        domain=(0.0, 1.0),
-        f=f,
-        y_d=y_d,
-        y_d_t=y_d_t,
-        Ay_d=ay_d,
-        y_b=y_b,
-    )
-    return spec, exact_p
+    return _unit_square(alpha, nu, f, y_d, y_d_t, y_b), exact_p
 
 
 def consistent_problem(alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
@@ -302,23 +280,11 @@ def consistent_problem(alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
     The optimal control is the guess itself and the adjoint vanishes, so
     this problem pins down the trivial-solution behavior of every stage.
     """
-    spec = example1("i", alpha=alpha, nu=nu)
 
     def y_b(x):
         return np.sin(np.pi * x)
 
-    return ProblemSpec(
-        a=spec.a,
-        a0=spec.a0,
-        alpha=alpha,
-        T=spec.T,
-        domain=spec.domain,
-        f=spec.f,
-        y_d=spec.y_d,
-        y_d_t=spec.y_d_t,
-        Ay_d=spec.Ay_d,
-        y_b=y_b,
-    )
+    return replace(example1("i", alpha=alpha, nu=nu), y_b=y_b)
 
 
 def build(name: str, **params) -> tuple[ProblemSpec, Callable | None]:

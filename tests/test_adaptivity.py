@@ -242,6 +242,7 @@ def test_history_requires_growing_grids():
     record = CycleRecord(
         cycle=0, n_intervals=5, taus=np.linspace(0, 1, 6),
         eta_sq=np.ones(5), eta_total=np.sqrt(5.0), true_error=None,
+        uniform_error=None,
     )
     history.append(record)
     with pytest.raises(ValueError):
@@ -287,6 +288,24 @@ def test_reference_route_builds_one_spatial_operator(spatial_builds):
     # 36 cycle solves and the reference solve share one space and one eigh.
     assert len(history.cycles) == 36
     assert spatial_builds == {"assemble_spatial_matrices": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
+def test_reference_route_records_the_uniform_errors(strategy):
+    spec = problems.example2()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    cfg = AdaptConfig(strategy=strategy, n_initial=4, n_max=9, record_reference_error=True)
+    _, history = adaptivity.adapt_loop(spec, sm, cfg)
+    counts = [rec.n_intervals for rec in history.cycles]
+    uniform = adaptivity.uniform_initial_errors(spec, sm, counts, 4 * cfg.n_max)
+    assert [rec.uniform_error for rec in history.cycles] == uniform.tolist()
+    # Cycle 0's grid is the uniform one.
+    assert history.cycles[0].uniform_error == history.cycles[0].true_error
+    # Later grids are graded, so their errors differ from the uniform ones.
+    assert any(rec.uniform_error != rec.true_error for rec in history.cycles[1:])
+
+    _, plain = adaptivity.adapt_loop(spec, sm, replace(cfg, record_reference_error=False))
+    assert all(rec.uniform_error is None and rec.true_error is None for rec in plain.cycles)
 
 
 def test_uniform_initial_errors_match_direct_solves():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varda import assimilation, cli, elliptic, mesh, problems
+from varda import adaptivity, assimilation, cli, elliptic, mesh, problems
 
 
 def run(*argv):
@@ -235,6 +235,23 @@ def test_adapt_snapshots_and_reference_errors(tmp_path):
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 5
     assert not history[1].endswith(",")
+    # The adaptive column is history's true_error; the uniform one the uniform grids' errors.
+    assert [r[2] for r in rows] == [line.split(",")[3] for line in history[1:]]
+    smesh = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    uniform = adaptivity.uniform_initial_errors(problems.example2(), smesh, [4, 5, 6, 7], 4 * 7)
+    assert [float(r[3]) for r in rows] == uniform.tolist()
+
+
+def test_adapt_with_reference_errors_builds_one_spatial_operator(tmp_path, spatial_builds):
+    out = tmp_path / "adapt"
+    code = run(
+        "adapt", "problem.name=example2", "grid.d=8", "adapt.n_initial=4", "adapt.n_max=7",
+        "adapt.record_reference=true", f"output_dir={out}",
+    )
+    assert code == 0
+    # The reference solve, every cycle's solve and every uniform solve share one space.
+    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigh": 1}
+    assert len((out / "error_vs_N.csv").read_text().splitlines()) == 5
 
 
 def test_reproduce_table1_builds_one_spatial_operator_per_problem(tmp_path, spatial_builds):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from conftest import nodal, variable_coefficient_problem
@@ -168,3 +169,42 @@ def test_sample_shapes_and_non_finite_values():
         fem1d.sample(spiky, np.array([0.0, 0.5]), x)
     with pytest.raises(ValueError, match="non-finite"):
         fem1d._coefficient_at(lambda x: np.log(x), x)
+
+
+def _coo_reference(smesh, a, a0, quad_order):
+    """M and K by a per-element COO loop, summing duplicates in CSR conversion."""
+    quad = fem1d.spatial_quadrature(smesh, quad_order)
+    gw, phi, h, ne = quad.gw, quad.phi, smesh.h, smesh.d
+    a_vals = np.broadcast_to(np.asarray(a(quad.x), dtype=float), quad.x.shape)
+    a0_vals = np.broadcast_to(np.asarray(a0(quad.x), dtype=float), quad.x.shape)
+    m_el = fem1d.element_matrices(h).mass
+    k_scale = (a_vals @ gw) / (2.0 * h)
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    left = np.arange(ne)
+    conn = np.stack([left, left + 1])
+    rows, cols, m_data, k_data, r_data = [], [], [], [], []
+    for i in range(2):
+        for j in range(2):
+            rows.append(conn[i])
+            cols.append(conn[j])
+            m_data.append(np.full(ne, m_el[i, j]))
+            k_data.append(k_scale * sign[i, j])
+            r_data.append((h / 2.0) * (a0_vals * (phi[i] * phi[j])) @ gw)
+    rows, cols, n = np.concatenate(rows), np.concatenate(cols), ne + 1
+
+    def build(data):
+        return sp.coo_array((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
+
+    return build(m_data), build(k_data) + build(r_data)
+
+
+@pytest.mark.parametrize("d", [2, 3, 40])
+@pytest.mark.parametrize("quad_order", [1, 2, 3])
+@pytest.mark.parametrize("spec", [problems.example2(), variable_coefficient_problem()], ids=["constant", "variable"])
+def test_spatial_matrices_match_a_per_element_coo_assembly(spec, quad_order, d):
+    smesh = mesh.build_spatial_mesh(0.0, 1.0, d)
+    space = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=quad_order)
+    for got, want in zip((space.M, space.K), _coo_reference(smesh, spec.a, spec.a0, quad_order)):
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)

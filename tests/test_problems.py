@@ -148,6 +148,33 @@ def test_consistent_problem_guess_matches_the_data_at_start():
     np.testing.assert_array_equal(spec.y_b(xs), spec.y_d(0.0, xs))
 
 
+def test_catalog_problems_share_the_unit_square_setting():
+    xs = np.linspace(0.0, 1.0, 13)
+    ts = np.linspace(0.0, 1.0, 7)[:, None]
+    for name in problems.CATALOG:
+        spec, _ = problems.build(name, nu=0.2)
+        assert spec.T == 1.0 and spec.domain == (0.0, 1.0)
+        np.testing.assert_array_equal(spec.a(xs), np.full_like(xs, 0.2))
+        np.testing.assert_array_equal(spec.a0(xs), np.zeros_like(xs))
+        # y_d is sin(pi x) times a function of t, so -(nu y_d')' = nu pi^2 y_d.
+        h = 1e-4
+        second = (spec.y_d(ts, xs + h) - 2.0 * spec.y_d(ts, xs) + spec.y_d(ts, xs - h)) / (h * h)
+        np.testing.assert_allclose(spec.Ay_d(ts, xs), -0.2 * second, rtol=1e-6, atol=1e-6)
+
+
+def test_consistent_problem_is_example1i_with_another_guess():
+    xs = np.linspace(0.0, 1.0, 13)
+    ts = np.linspace(0.0, 1.0, 7)[:, None]
+    one = problems.example1("i", alpha=0.3, nu=0.2)
+    consistent = problems.consistent_problem(alpha=0.3, nu=0.2)
+    assert (consistent.alpha, consistent.T, consistent.domain) == (one.alpha, one.T, one.domain)
+    for name in ("a", "a0"):
+        np.testing.assert_array_equal(getattr(consistent, name)(xs), getattr(one, name)(xs))
+    for name in ("f", "y_d", "y_d_t", "Ay_d"):
+        np.testing.assert_array_equal(getattr(consistent, name)(ts, xs), getattr(one, name)(ts, xs))
+    assert not np.array_equal(consistent.y_b(xs), one.y_b(xs))
+
+
 def test_build_routes_names_and_rejects_unknown_ones():
     assert list(problems.CATALOG) == ["example1i", "example1ii", "example2", "example3", "consistent"]
     # Valid for every problem, so the constructor must accept whatever its
