@@ -12,15 +12,15 @@ from the data alone, before any solve; compute_indicators therefore accepts
 the solution or None.  Otherwise -A q = a' q_x - a0 q enters, and the loop's
 reference route, which passes its solutions, can build another grid.
 
-An interval's data enter only through its moments (see _Integrand), which
-adapt_loop computes once, when bisection creates the interval, and keeps
-while it lives; each cycle then costs O(N d q) on top of its solve.
+adapt_loop samples an interval's data once, when bisection creates it, and
+keeps only its moments (see _Integrand) and, on the reference route, its load
+rows (elliptic.hat_rows); each cycle then costs O(N d q) on top of its solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -179,7 +179,7 @@ class _Integrand:
         so the integral of (g + r)^2 is that of g^2 plus 2 (r_i m_0 + r_(i+1)
         m_1) + dt (c_0 r_i^2 + 2 c_1 r_i r_(i+1) + c_2 r_(i+1)^2), c = hat_products.
         """
-        e, m = zip(*moments)
+        e, m, *_ = zip(*moments)
         if q is None:
             return np.array(e)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -251,27 +251,36 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     return chosen
 
 
-def _reference_solver(
-    problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int
-) -> Callable[[TimeGrid], tuple[elliptic.EllipticSolution, float]]:
-    """Solve once on a uniform grid of n_reference intervals.
+def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int):
+    """Solve once on a uniform grid of n_reference intervals; one space serves every solve.
 
-    Returns a function that solves on a given grid and also returns the
-    L2(Omega) gap of its p(0) to the reference p(0).  One spatial operator
-    serves the reference solve and every later one.
+    Returns solve_with_error, the solution on a grid and the L2(Omega) gap of
+    its p(0) to the reference p(0), and uniform_errors, those gaps on uniform
+    grids of the given counts, which share data calls up to n_reference intervals.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
     ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order, space=space)
     reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
 
-    def solve_with_error(tgrid: TimeGrid) -> tuple[elliptic.EllipticSolution, float]:
-        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order, space=space)
+    def solve_with_error(tgrid: TimeGrid, rows=None) -> tuple[elliptic.EllipticSolution, float]:
+        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order, space=space, rows=rows)
         sol = elliptic.solve_sparse(system)
         diff = reference_p0 - sol.p.values[0]
         return sol, float(np.sqrt(diff @ (space.M @ diff)))
 
-    return solve_with_error
+    def uniform_errors(counts: Iterable[int]) -> list[float]:
+        grids, errors, quad = [build_uniform_time_grid(problem.T, int(n)) for n in counts], [], space.quad
+        while grids:
+            k = max(1, int(np.searchsorted(np.cumsum([g.N for g in grids]), n_reference, side="right")))
+            group, grids = grids[:k], grids[k:]
+            t, w, lam = (np.concatenate(a) for a in zip(*(fem1d.time_quadrature(g, quad_order) for g in group)))
+            rows = elliptic.hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
+            splits = np.cumsum([g.N for g in group])
+            errors += [solve_with_error(g, r)[1] for g, r in zip(group, np.split(rows, splits))]
+        return errors
+
+    return solve_with_error, uniform_errors
 
 
 def adapt_loop(
@@ -285,37 +294,43 @@ def adapt_loop(
 
     Stops once the grid has at least n_max intervals or nothing is marked.
     With record_reference_error the loop also solves the space-time system
-    every cycle, on its grid and on the uniform grid with as many intervals,
-    and records both L2 gaps of p(0) against one solve on a uniform grid
-    with 4 * n_max intervals; otherwise no solve happens at all.
+    every cycle and records the L2 gaps of p(0) on its grid and, after the
+    loop, on the uniform grid with as many intervals (cycle 0's is its own)
+    against one solve on a uniform grid with 4 * n_max intervals; otherwise
+    no solve happens at all.
 
     Each interval's data are sampled once, in one batch with the other
     intervals of its cycle, when bisection creates it, and only its moments
-    are kept; the indicators equal compute_indicators' on every cycle's grid.
+    are kept, with its elliptic.hat_rows from the same call on the reference
+    route.  Indicators and solves equal fresh ones on every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
 
-    solve_with_error = None
+    solve_with_error = uniform_errors = None
     if cfg.record_reference_error:
-        solve_with_error = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
+        solve_with_error, uniform_errors = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
     integrand = _Integrand(problem, smesh, quad_order)
 
     # Live interval (t0, t1) -> its moments (e, m), m None on the data-only
-    # route.  Bisected parents drop out.
-    cache: dict[tuple[float, float], tuple[float, np.ndarray | None]] = {}
+    # route, and on the other its hat rows as well.  Bisected parents drop out.
+    cache: dict[tuple[float, float], tuple] = {}
     cycle = 0
     while True:
-        sol, true_error, uniform_error = None, None, None
-        if solve_with_error is not None:
-            sol, true_error = solve_with_error(tgrid)
-            uniform_error = solve_with_error(build_uniform_time_grid(problem.T, tgrid.N))[1]
-
         t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
         keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
         fresh = [i for i, key in enumerate(keys) if key not in cache]
-        for i, g in zip(fresh, problem.data_residual(t[fresh], integrand.quad.x)):
-            cache[keys[i]] = integrand.moments(g, w_t[i], tgrid.deltas[i], None if sol is None else lam[i])
+        sol, true_error = None, None
+        if solve_with_error is None:
+            for i, g in zip(fresh, problem.data_residual(t[fresh], integrand.quad.x)):
+                cache[keys[i]] = integrand.moments(g, w_t[i], tgrid.deltas[i])
+        else:
+            nt, (t_load, w_load, lam_load) = t.shape[1], fem1d.time_quadrature(tgrid, quad_order)
+            g = problem.data_residual(np.concatenate((t[fresh], t_load[fresh]), axis=1), integrand.quad.x)
+            rows = elliptic.hat_rows(integrand.quad, g[:, nt:], w_load[fresh], lam_load[fresh])
+            for j, i in enumerate(fresh):
+                cache[keys[i]] = (*integrand.moments(g[j, :nt], w_t[i], tgrid.deltas[i], lam[i]), rows[j])
+            sol, true_error = solve_with_error(tgrid, np.array([cache[key][2] for key in keys]))
         cache = {key: cache[key] for key in keys}
         q = None if sol is None else sol.q.values
         ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas, q))
@@ -327,7 +342,7 @@ def adapt_loop(
                 eta_sq=ind.per_interval.copy(),
                 eta_total=float(np.sqrt(ind.total)),
                 true_error=true_error,
-                uniform_error=uniform_error,
+                uniform_error=None,
             )
         )
         if tgrid.N >= cfg.n_max:
@@ -338,6 +353,10 @@ def adapt_loop(
         tgrid = bisect_intervals(tgrid, marks)
         cycle += 1
 
+    if uniform_errors is not None:
+        counts = [rec.n_intervals for rec in history.cycles[1:]]
+        errors = [history.cycles[0].true_error] + uniform_errors(counts)
+        history.cycles = [replace(rec, uniform_error=err) for rec, err in zip(history.cycles, errors)]
     return tgrid, history
 
 
@@ -352,13 +371,10 @@ def uniform_initial_errors(
     """L2(Omega) gaps of p(0) on uniform grids against a finer uniform solve.
 
     With n_reference = 4 * n_max and the loop's counts these equal the
-    uniform_error of adapt_loop's records bitwise; this is an independent
-    recomputation of that column, built with its own reference solve.
+    uniform_error of adapt_loop's records bitwise: both build their own
+    reference solve and sample through the same code.
     """
-    solve_with_error = _reference_solver(problem, smesh, n_reference, quad_order)
-    return np.asarray(
-        [solve_with_error(build_uniform_time_grid(problem.T, int(n)))[1] for n in counts]
-    )
+    return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)[1](counts))
 
 
 def format_history_csv(history: AdaptHistory) -> str:

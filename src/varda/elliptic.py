@@ -75,6 +75,7 @@ __all__ = [
     "EllipticSolution",
     "EllipticSolverError",
     "assemble",
+    "hat_rows",
     "solve_sparse",
 ]
 
@@ -147,7 +148,7 @@ class AssembledSystem:
         x_p, x_q = X[:N], X[N:]
         mt_q = fem1d.tridiag_dot(md, mo, x_q)
         mt_p = fem1d.tridiag_dot(md, mo, np.vstack([x_p, np.zeros_like(x_q[:1])]))
-        kd_p = np.r_[kd[0] + 1.0 / self.alpha, kd[1:N]]
+        kd_p = np.concatenate(([kd[0] + 1.0 / self.alpha], kd[1:N]))
         tm_x = np.vstack([fem1d.tridiag_dot(kd_p, ko[: N - 1], x_p), mt_q])
         tk_x = np.vstack([mt_q[:N], -mt_p])
         # Sum row 0 in column order, e0 first, like every other row, so that each
@@ -175,25 +176,33 @@ class EllipticSolution:
     solver_residual: float
 
 
+def hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Left and right time-hat loads (n, 2, d+1) of n intervals, from g at time_quadrature's nodes."""
+    nodal = quad.gather(g)
+    return np.stack([np.einsum("ik,ikj->ij", w * hat, nodal) for hat in (1.0 - lam, lam)], axis=1)
+
+
 def _data_load(
     problem: "ProblemSpec",
     space: fem1d.SpatialOperatorMatrices,
     tgrid: TimeGrid,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Load against every p test function, shape (N+1, d+1), time-major.
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
-    function.  Initial term: integral of (y_b - y_d(0)) against the t=0
-    hats.  Tensor Gauss quadrature with the space's rule in each direction.
+    function, summed from the intervals' hat_rows (sampled unless given).
+    Initial term: integral of (y_b - y_d(0)) against the t=0 hats.
     """
     quad = space.quad
-    t, w, lam = fem1d.time_quadrature(tgrid, quad.order)
-    nodal = quad.gather(problem.data_residual(t, quad.x))
+    if rows is None:
+        t, w, lam = fem1d.time_quadrature(tgrid, quad.order)
+        rows = hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
 
     # Interval i feeds the time hats of its nodes i and i + 1.
     load = np.zeros((tgrid.N + 1, space.smesh.d + 1))
-    load[:-1] += np.einsum("ik,ikj->ij", w * (1.0 - lam), nodal)
-    load[1:] += np.einsum("ik,ikj->ij", w * lam, nodal)
+    load[:-1] += rows[:, 0]
+    load[1:] += rows[:, 1]
 
     g0 = fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x)
     load[0] += quad.gather(g0)
@@ -207,14 +216,16 @@ def assemble(
     quad_order: int = 3,
     *,
     space: fem1d.SpatialOperatorMatrices | None = None,
+    rows: np.ndarray | None = None,
 ) -> AssembledSystem:
     """Assemble A = T_M (x) M_I + T_K (x) K_I as factors, and its free-dof load.
 
-    space is the run's spatial operator, built here when not given.  Raises
-    ValueError for a spatial mesh without an interior node, for a space that
-    does not match smesh, quad_order and problem's a, a0, and for a load
-    whose squared norm overflows.  alpha and the time grid need no check:
-    ProblemSpec requires alpha > 0 and every TimeGrid has an interval.
+    space is the run's spatial operator and rows the intervals' hat_rows,
+    each built here when not given.  Raises ValueError for a spatial mesh
+    without an interior node, for a space that does not match smesh,
+    quad_order and problem's a, a0, and for a load whose squared norm
+    overflows.  alpha and the time grid need no check: ProblemSpec requires
+    alpha > 0 and every TimeGrid has an interval.
     """
     if smesh.d < 2:
         raise ValueError("need at least one interior spatial node")
@@ -234,7 +245,7 @@ def assemble(
     q_boundary = -fem1d.sample(problem.y_d, tgrid.taus, ends)
     m_b, k_b = space.boundary_columns
     mq = fem1d.tridiag_dot(*mt, q_boundary)
-    b_p = _data_load(problem, space, tgrid)[:N, 1:-1] - mq[:N] @ k_b.T
+    b_p = _data_load(problem, space, tgrid, rows)[:N, 1:-1] - mq[:N] @ k_b.T
     b = np.concatenate([b_p, -mq @ m_b.T]).ravel()
     # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
     with np.errstate(over="ignore"):
@@ -262,12 +273,12 @@ def _factor(system: AssembledSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     # Upper band of every mode matrix, modes one after another; the first
     # superdiagonal slot of each mode stays zero, which decouples the modes.
-    diag = np.r_[kd[0] + 1.0 / system.alpha, kd[1:N]] + np.outer(lam * lam, md[:N])
+    diag = np.concatenate(([kd[0] + 1.0 / system.alpha], kd[1:N])) + np.outer(lam * lam, md[:N])
     diag[:, 0] += lam
     sup = np.zeros((n, N))
     sup[:, 1:] = ko[: N - 1] + np.outer(lam * lam, mo[: N - 1])
     modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
-    mass = la.cholesky_banded(np.stack([np.r_[0.0, mo], md]))
+    mass = la.cholesky_banded(np.stack([np.concatenate(([0.0], mo)), md]))
 
     def solve(r: np.ndarray) -> np.ndarray:
         r_p = r[: N * n].reshape(N, n) @ V

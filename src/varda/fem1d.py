@@ -169,10 +169,13 @@ class SpatialQuadrature:
         return self.gw.size
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """Integrals of values (..., d, q) at x against each hat: (..., d + 1)."""
+        """Integrals of values (..., d, q) at x against each hat, (..., d + 1), adding the q points in order."""
         nodal = np.zeros(values.shape[:-2] + (values.shape[-2] + 1,))
-        nodal[..., :-1] += (values * (self.w * self.phi[0])).sum(axis=-1)
-        nodal[..., 1:] += (values * (self.w * self.phi[1])).sum(axis=-1)
+        for cells, c in ((nodal[..., :-1], self.w * self.phi[0]), (nodal[..., 1:], self.w * self.phi[1])):
+            acc = values[..., 0] * c[0]
+            for k in range(1, self.order):
+                acc += values[..., k] * c[k]
+            cells += acc
         return nodal
 
 
@@ -204,7 +207,7 @@ def time_quadrature(tgrid: TimeGrid, quad_order: int, panels: int = 1):
 
 def _bands(e00: np.ndarray, e01: np.ndarray, e11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bands (diag, off) summed from each element's entries; element i joins nodes i, i + 1."""
-    return np.r_[e00, 0.0] + np.r_[0.0, e11], e01
+    return np.concatenate((e00, [0.0])) + np.concatenate(([0.0], e11)), e01
 
 
 def band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:

@@ -404,3 +404,53 @@ def test_adapt_loop_samples_each_interval_once():
     tgrid, _ = adaptivity.adapt_loop(counted_spec, sm, AdaptConfig(n_initial=5, n_max=30))
     assert tgrid.N == 30
     assert sum(points) == 55 * 48 * sm.d * 3
+
+
+def test_reference_route_samples_each_interval_once(monkeypatch):
+    # example2 from 5 to 40 intervals by MAX, d=20.  f is sampled at 3 Gauss
+    # nodes per interval of the 160-interval reference, at 16 x 3 + 3 nodes
+    # per interval the cycles create (5 + 2 x 35), and at 3 nodes per
+    # interval of the uniform grids of 6..40 intervals (cycle 0's grid is
+    # uniform already).
+    spec = problems.example2()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
+    cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
+    shapes, points = [], []
+
+    def counted(t, x):
+        shapes.append(np.shape(t))
+        points.append(np.broadcast(t, x).size)
+        return spec.f(t, x)
+
+    counted_spec = replace(spec, f=counted)
+    shapes.clear()  # drop the spot check that construction ran
+    points.clear()
+    solves = []
+    solve_sparse = elliptic.solve_sparse
+
+    def counted_solve(system):
+        solves.append(system.dofmap.tgrid.N)
+        return solve_sparse(system)
+
+    monkeypatch.setattr(elliptic, "solve_sparse", counted_solve)
+    tgrid, history = adaptivity.adapt_loop(counted_spec, sm, cfg)
+    assert tgrid.N == 40 and len(history.cycles) == 36
+    uniform_intervals = sum(range(6, 41))
+    assert sum(points) == (160 * 3 + 75 * 51 + uniform_intervals * 3) * sm.d * 3
+    # t comes shaped (intervals, nodes, 1, 1).
+    assert max(shape[0] for shape in shapes) <= 4 * cfg.n_max
+    # 1 reference solve, 36 cycle solves and 35 uniform solves.
+    assert len(solves) == 72
+    assert sorted(solves) == sorted([160, *range(5, 41), *range(6, 41)])
+
+    # Each uniform error equals a fresh solve on its grid, bit for bit.
+    monkeypatch.undo()
+    ref_sys = elliptic.assemble(spec, sm, mesh.build_uniform_time_grid(1.0, 160))
+    ref_p0, mass = elliptic.solve_sparse(ref_sys).p.values[0], ref_sys.space.M
+
+    def gap(taus):
+        diff = ref_p0 - elliptic.solve_sparse(elliptic.assemble(spec, sm, mesh.build_time_grid(taus))).p.values[0]
+        return float(np.sqrt(diff @ (mass @ diff)))
+
+    for rec in history.cycles:
+        assert rec.uniform_error == gap(mesh.build_uniform_time_grid(1.0, rec.n_intervals).taus)

@@ -208,3 +208,19 @@ def test_spatial_matrices_match_a_per_element_coo_assembly(spec, quad_order, d):
         assert got.data.tobytes() == want.data.tobytes()
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (4, 3)], ids=["scalar", "batch", "batch2"])
+@pytest.mark.parametrize("d", [2, 40])
+@pytest.mark.parametrize("quad_order", [1, 2, 3])
+def test_gather_equals_the_product_and_sum_formula_bitwise(quad_order, d, shape):
+    quad = fem1d.spatial_quadrature(mesh.build_spatial_mesh(0.0, 1.0, d), quad_order)
+    rng = np.random.default_rng(quad_order * 100 + d)
+    values = rng.standard_normal(shape + quad.x.shape) * 10.0 ** rng.integers(-8, 9, shape + quad.x.shape)
+    # -0.0 entries, and whole cells of them, whose sums must round like the formula's.
+    values.reshape(-1)[::7] = -0.0
+    values[..., 0, :] = -0.0
+    want = np.zeros(shape + (d + 1,))
+    want[..., :-1] += (values * (quad.w * quad.phi[0])).sum(axis=-1)
+    want[..., 1:] += (values * (quad.w * quad.phi[1])).sum(axis=-1)
+    assert quad.gather(values).tobytes() == want.tobytes()
