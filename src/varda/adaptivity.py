@@ -8,13 +8,15 @@ The indicator for interval I_i is
 With piecewise-linear elements p_tt vanishes on every element and the
 second-derivative part of A q does too.  For constant a and a0 = 0, as on
 every catalog problem, A q is zero as well and the indicator is computable
-from the data alone, before any solve; compute_indicators therefore accepts
-the solution or None.  Otherwise -A q = a' q_x - a0 q enters, and the loop's
-reference route, which passes its solutions, can build another grid.
+from the data alone, before any solve.  compute_indicators accepts the
+solution or None; with a solution and variable a or nonzero a0 it adds
+-A q = a' q_x - a0 q.  adapt_loop always marks on the data-only indicator,
+so recording reference errors only measures the grids it builds.
 
 adapt_loop samples an interval's data once, when bisection creates it, and
 keeps only its moments (see _Integrand) and, on the reference route, its load
-rows (elliptic.hat_rows); each cycle then costs O(N d q) on top of its solve.
+rows (elliptic.hat_rows); each cycle then costs O(N d q).  The reference
+route's solves all run after the loop, batched (elliptic.solve_batch).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import elliptic, fem1d
 from .assimilation import ProblemSpec
-from .mesh import SpatialMesh, TimeGrid, build_uniform_time_grid, bisect_intervals
+from .mesh import SpatialMesh, TimeGrid, bisect_intervals, build_time_grid, build_uniform_time_grid
 
 __all__ = [
     "ErrorIndicators",
@@ -78,9 +80,9 @@ class AdaptConfig:
     strategy MAX bisects the single worst interval per cycle; DOERFLER
     bisects a minimal set carrying at least theta_mark of the total squared
     indicator.  Errors name the CLI keys (adapt.theta for theta_mark), since
-    `varda adapt` reports them as they are.  record_reference_error puts each
-    cycle's solution into the indicator: unless a is constant and a0 = 0,
-    that can change the grid.
+    `varda adapt` reports them as they are.  record_reference_error only
+    measures: it adds the p(0) errors to the records and never changes the
+    indicators, the marks or the grids.
     """
 
     strategy: str = "MAX"
@@ -164,7 +166,7 @@ class _Integrand:
 
         g, shaped (nt,) + quad.x.shape, holds g at one interval's time nodes, w
         their weights, dt its length and lam their place in it.  e is the
-        data-only eta^2; m is None without lam, as on the data-only route.
+        data-only eta^2; m is None without lam, as in adapt_loop.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             e = dt * dt * (w @ ((g * g) @ self.quad.w).sum(axis=1))
@@ -179,7 +181,7 @@ class _Integrand:
         so the integral of (g + r)^2 is that of g^2 plus 2 (r_i m_0 + r_(i+1)
         m_1) + dt (c_0 r_i^2 + 2 c_1 r_i r_(i+1) + c_2 r_(i+1)^2), c = hat_products.
         """
-        e, m, *_ = zip(*moments)
+        e, m = zip(*moments)
         if q is None:
             return np.array(e)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -251,36 +253,39 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     return chosen
 
 
-def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int):
-    """Solve once on a uniform grid of n_reference intervals; one space serves every solve.
+def _intervals(tgrid: TimeGrid) -> list[tuple[float, float]]:
+    """The grid's intervals as (t0, t1) keys."""
+    return list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
 
-    Returns solve_with_error, the solution on a grid and the L2(Omega) gap of
-    its p(0) to the reference p(0), and uniform_errors, those gaps on uniform
-    grids of the given counts, which share data calls up to n_reference intervals.
+
+def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int):
+    """Assemble the system on the uniform grid of n_reference intervals; return errors, scored against it.
+
+    errors(grids, rows_of) gives the L2(Omega) gaps of p(0) on each grid to
+    the reference p(0).  grids holds (tgrid, cached) pairs: a cached grid's
+    hat rows come from rows_of, keyed by interval, and the rest are sampled.
+    The reference, which fills a batch alone, and then the grids in order
+    are solved in batches of at most n_reference intervals (a larger grid
+    alone) on one space, and only each p(0) is kept.  The reference load is
+    checked here, before any grid is scored.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
-    ref_sys = elliptic.assemble(problem, smesh, ref_grid, quad_order=quad_order, space=space)
-    reference_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
+    reference = elliptic.assemble_batch(problem, space, [ref_grid], [None])
 
-    def solve_with_error(tgrid: TimeGrid, rows=None) -> tuple[elliptic.EllipticSolution, float]:
-        system = elliptic.assemble(problem, smesh, tgrid, quad_order=quad_order, space=space, rows=rows)
-        sol = elliptic.solve_sparse(system)
-        diff = reference_p0 - sol.p.values[0]
-        return sol, float(np.sqrt(diff @ (space.M @ diff)))
-
-    def uniform_errors(counts: Iterable[int]) -> list[float]:
-        grids, errors, quad = [build_uniform_time_grid(problem.T, int(n)) for n in counts], [], space.quad
+    def errors(grids, rows_of=None) -> list[float]:
+        ref_p0, p0 = elliptic.solve_batch(reference)[0].p.values[0], []
         while grids:
-            k = max(1, int(np.searchsorted(np.cumsum([g.N for g in grids]), n_reference, side="right")))
-            group, grids = grids[:k], grids[k:]
-            t, w, lam = (np.concatenate(a) for a in zip(*(fem1d.time_quadrature(g, quad_order) for g in group)))
-            rows = elliptic.hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
-            splits = np.cumsum([g.N for g in group])
-            errors += [solve_with_error(g, r)[1] for g, r in zip(group, np.split(rows, splits))]
-        return errors
+            k = max(1, int(np.searchsorted(np.cumsum([g.N for g, _ in grids]), n_reference, side="right")))
+            batch, grids = grids[:k], grids[k:]
+            rows = [np.array([rows_of[key] for key in _intervals(g)]) if cached else None
+                    for g, cached in batch]
+            systems = elliptic.assemble_batch(problem, space, [g for g, _ in batch], rows)
+            p0 += [sol.p.values[0].copy() for sol in elliptic.solve_batch(systems)]
+        diffs = [ref_p0 - p for p in p0]
+        return [float(np.sqrt(diff @ (space.M @ diff))) for diff in diffs]
 
-    return solve_with_error, uniform_errors
+    return errors
 
 
 def adapt_loop(
@@ -293,11 +298,13 @@ def adapt_loop(
     """Run estimate, mark, bisect from a uniform start until done.
 
     Stops once the grid has at least n_max intervals or nothing is marked.
-    With record_reference_error the loop also solves the space-time system
-    every cycle and records the L2 gaps of p(0) on its grid and, after the
-    loop, on the uniform grid with as many intervals (cycle 0's is its own)
-    against one solve on a uniform grid with 4 * n_max intervals; otherwise
-    no solve happens at all.
+    Every cycle marks on the data-only indicator, so the grids are the same
+    with and without record_reference_error.  With it, the loop records the
+    L2 gaps of p(0) on every cycle's grid and on the uniform grid with as
+    many intervals (cycle 0's is its own) against one solve on a uniform
+    grid with 4 * n_max intervals.  Those solves all run after the last
+    cycle, in batches of at most 4 * n_max intervals; otherwise no solve
+    happens at all.
 
     Each interval's data are sampled once, in one batch with the other
     intervals of its cycle, when bisection creates it, and only its moments
@@ -306,22 +313,21 @@ def adapt_loop(
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
-
-    solve_with_error = uniform_errors = None
+    errors = None
     if cfg.record_reference_error:
-        solve_with_error, uniform_errors = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
+        errors = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
     integrand = _Integrand(problem, smesh, quad_order)
 
-    # Live interval (t0, t1) -> its moments (e, m), m None on the data-only
-    # route, and on the other its hat rows as well.  Bisected parents drop out.
+    # Live interval (t0, t1) -> its moments (e, None); bisected parents drop
+    # out.  On the reference route rows_of keeps every interval's hat rows.
     cache: dict[tuple[float, float], tuple] = {}
+    rows_of: dict[tuple[float, float], np.ndarray] = {}
     cycle = 0
     while True:
-        t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
-        keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
+        t, w_t, _ = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
+        keys = _intervals(tgrid)
         fresh = [i for i, key in enumerate(keys) if key not in cache]
-        sol, true_error = None, None
-        if solve_with_error is None:
+        if errors is None:
             for i, g in zip(fresh, problem.data_residual(t[fresh], integrand.quad.x)):
                 cache[keys[i]] = integrand.moments(g, w_t[i], tgrid.deltas[i])
         else:
@@ -329,11 +335,10 @@ def adapt_loop(
             g = problem.data_residual(np.concatenate((t[fresh], t_load[fresh]), axis=1), integrand.quad.x)
             rows = elliptic.hat_rows(integrand.quad, g[:, nt:], w_load[fresh], lam_load[fresh])
             for j, i in enumerate(fresh):
-                cache[keys[i]] = (*integrand.moments(g[j, :nt], w_t[i], tgrid.deltas[i], lam[i]), rows[j])
-            sol, true_error = solve_with_error(tgrid, np.array([cache[key][2] for key in keys]))
+                cache[keys[i]] = integrand.moments(g[j, :nt], w_t[i], tgrid.deltas[i])
+                rows_of[keys[i]] = rows[j]
         cache = {key: cache[key] for key in keys}
-        q = None if sol is None else sol.q.values
-        ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas, q))
+        ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas))
         history.append(
             CycleRecord(
                 cycle=cycle,
@@ -341,7 +346,7 @@ def adapt_loop(
                 taus=tgrid.taus.copy(),
                 eta_sq=ind.per_interval.copy(),
                 eta_total=float(np.sqrt(ind.total)),
-                true_error=true_error,
+                true_error=None,
                 uniform_error=None,
             )
         )
@@ -353,10 +358,14 @@ def adapt_loop(
         tgrid = bisect_intervals(tgrid, marks)
         cycle += 1
 
-    if uniform_errors is not None:
-        counts = [rec.n_intervals for rec in history.cycles[1:]]
-        errors = [history.cycles[0].true_error] + uniform_errors(counts)
-        history.cycles = [replace(rec, uniform_error=err) for rec, err in zip(history.cycles, errors)]
+    if errors is not None:
+        cycles = history.cycles
+        grids = [(build_time_grid(rec.taus), True) for rec in cycles]
+        grids += [(build_uniform_time_grid(problem.T, rec.n_intervals), False) for rec in cycles[1:]]
+        gaps = errors(grids, rows_of)
+        uniform = gaps[:1] + gaps[len(cycles):]
+        history.cycles = [replace(rec, true_error=e, uniform_error=u)
+                          for rec, e, u in zip(cycles, gaps, uniform)]
     return tgrid, history
 
 
@@ -372,9 +381,10 @@ def uniform_initial_errors(
 
     With n_reference = 4 * n_max and the loop's counts these equal the
     uniform_error of adapt_loop's records bitwise: both build their own
-    reference solve and sample through the same code.
+    reference solve and solve through the same code.
     """
-    return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)[1](counts))
+    grids = [(build_uniform_time_grid(problem.T, int(n)), False) for n in counts]
+    return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)(grids))
 
 
 def format_history_csv(history: AdaptHistory) -> str:

@@ -32,7 +32,7 @@ The system stores the (diag, off) bands of the tridiagonal Mt and Kt,
 alpha, and the fem1d.SpatialOperatorMatrices that holds the bands of M_I,
 K_I and their eigenbasis: the space, built once per run and shared by every
 solve, replay and oracle on its mesh.  No sparse matrix is built on the way
-to a solution; A is built only when read.  solve_sparse never forms A: its
+to a solution; A is built only when read.  The solver never forms A: its
 residuals use vec(T_M X M_I + T_K X K_I), X the time-major reshape of x,
 T_M X and T_K X taken block by block from the bands, and since A
 is a sum of two Kronecker products the tensor-product direct method of
@@ -50,7 +50,9 @@ positive definite tridiagonal matrices, so for lam > -1/alpha (always, when
 a > 0 and a0 >= 0 make K_hat positive definite) every mode matrix is SPD and
 tridiagonal.  Cholesky needs no pivoting on SPD matrices and is backward
 stable, unlike the nonsymmetric 2 x 2 block form of each mode.  All modes are
-factored at once as one block-diagonal band.
+factored at once as one block-diagonal band, and solve_batch does the same
+for the modes of many systems on one space and alpha, their time bands end
+to end with zero coupling at each junction.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ __all__ = [
     "EllipticSolution",
     "EllipticSolverError",
     "assemble",
+    "assemble_batch",
     "hat_rows",
+    "solve_batch",
     "solve_sparse",
 ]
 
@@ -142,20 +146,8 @@ class AssembledSystem:
     dofmap: DofMap
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A: T_M X and T_K X block by block, then M_I and K_I."""
-        N, (md, mo), (kd, ko) = self.dofmap.tgrid.N, self.mt, self.kt
-        X = x.reshape(2 * N + 1, -1)
-        x_p, x_q = X[:N], X[N:]
-        mt_q = fem1d.tridiag_dot(md, mo, x_q)
-        mt_p = fem1d.tridiag_dot(md, mo, np.vstack([x_p, np.zeros_like(x_q[:1])]))
-        kd_p = np.concatenate(([kd[0] + 1.0 / self.alpha], kd[1:N]))
-        tm_x = np.vstack([fem1d.tridiag_dot(kd_p, ko[: N - 1], x_p), mt_q])
-        tk_x = np.vstack([mt_q[:N], -mt_p])
-        # Sum row 0 in column order, e0 first, like every other row, so that each
-        # row rounds as a row-by-row sparse product of T_M and T_K would.
-        tk_x[0] = x_p[0] + md[0] * x_q[0] + mo[0] * x_q[1]
-        m_i, k_i = self.space.inner_bands
-        return (fem1d.tridiag_dot(*m_i, tm_x.T) + fem1d.tridiag_dot(*k_i, tk_x.T)).T.ravel()
+        """A @ x without forming A: the batch of this one system (see solve_batch)."""
+        return _Batch([self]).apply(x)
 
     @cached_property
     def A(self) -> sp.csr_array:
@@ -182,31 +174,30 @@ def hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: n
     return np.stack([np.einsum("ik,ikj->ij", w * hat, nodal) for hat in (1.0 - lam, lam)], axis=1)
 
 
-def _data_load(
-    problem: "ProblemSpec",
-    space: fem1d.SpatialOperatorMatrices,
-    tgrid: TimeGrid,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Load against every p test function, shape (N+1, d+1), time-major.
+def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids, rows) -> list[np.ndarray]:
+    """Loads against every p test function, (N+1, d+1) and time-major, one per grid.
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
-    function, summed from the intervals' hat_rows (sampled unless given).
-    Initial term: integral of (y_b - y_d(0)) against the t=0 hats.
+    function, summed from the intervals' hat_rows; those of the grids whose
+    rows are None are sampled here, in one call.  Initial term: integral of
+    (y_b - y_d(0)) against the t=0 hats, sampled once.
     """
     quad = space.quad
-    if rows is None:
-        t, w, lam = fem1d.time_quadrature(tgrid, quad.order)
-        rows = hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
+    missing = [tgrid for tgrid, r in zip(tgrids, rows) if r is None]
+    if missing:
+        t, w, lam = (np.concatenate(a) for a in zip(*(fem1d.time_quadrature(g, quad.order) for g in missing)))
+        sampled = hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
+        sampled = np.split(sampled, np.cumsum([g.N for g in missing])[:-1])
+        rows = [sampled.pop(0) if r is None else r for r in rows]
 
-    # Interval i feeds the time hats of its nodes i and i + 1.
-    load = np.zeros((tgrid.N + 1, space.smesh.d + 1))
-    load[:-1] += rows[:, 0]
-    load[1:] += rows[:, 1]
-
-    g0 = fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x)
-    load[0] += quad.gather(g0)
-    return load
+    init = quad.gather(fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x))
+    loads = [np.zeros((tgrid.N + 1, space.smesh.d + 1)) for tgrid in tgrids]
+    for load, r in zip(loads, rows):
+        # Interval i feeds the time hats of its nodes i and i + 1.
+        load[:-1] += r[:, 0]
+        load[1:] += r[:, 1]
+        load[0] += init
+    return loads
 
 
 def assemble(
@@ -216,16 +207,14 @@ def assemble(
     quad_order: int = 3,
     *,
     space: fem1d.SpatialOperatorMatrices | None = None,
-    rows: np.ndarray | None = None,
 ) -> AssembledSystem:
     """Assemble A = T_M (x) M_I + T_K (x) K_I as factors, and its free-dof load.
 
-    space is the run's spatial operator and rows the intervals' hat_rows,
-    each built here when not given.  Raises ValueError for a spatial mesh
-    without an interior node, for a space that does not match smesh,
-    quad_order and problem's a, a0, and for a load whose squared norm
-    overflows.  alpha and the time grid need no check: ProblemSpec requires
-    alpha > 0 and every TimeGrid has an interval.
+    space is the run's spatial operator, built here when not given.  Raises
+    ValueError for a spatial mesh without an interior node, for a space that
+    does not match smesh, quad_order and problem's a, a0, and for a load
+    whose squared norm overflows.  alpha and the time grid need no check:
+    ProblemSpec requires alpha > 0 and every TimeGrid has an interval.
     """
     if smesh.d < 2:
         raise ValueError("need at least one interior spatial node")
@@ -233,92 +222,166 @@ def assemble(
         space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     elif not (np.array_equal(space.smesh.nodes, smesh.nodes) and space.quad.order == quad_order):
         raise ValueError("spatial operator was built on another mesh or at another quad_order")
-    elif space.a is not problem.a or space.a0 is not problem.a0:
-        raise ValueError("spatial operator was built from other a, a0 callables than the problem's")
+    return assemble_batch(problem, space, [tgrid], [None])[0]
 
-    N = tgrid.N
-    mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
+
+def assemble_batch(
+    problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids: list[TimeGrid], rows: list
+) -> list[AssembledSystem]:
+    """assemble on each of tgrids and one space, rows[i] being the hat_rows of tgrids[i] or None.
+
+    The data of the grids without rows, the lateral trace of y_d and the
+    initial term are each sampled in one call for the whole batch.  Raises
+    ValueError as assemble does.
+    """
+    if space.a is not problem.a or space.a0 is not problem.a0:
+        raise ValueError("spatial operator was built from other a, a0 callables than the problem's")
 
     # Lift the known q boundary values through the same two factors: T_M's
     # q block is Mt and T_K's p-row q block Mt_N:.
+    smesh, (m_b, k_b) = space.smesh, space.boundary_columns
     ends = np.array([smesh.x_left, smesh.x_right])
-    q_boundary = -fem1d.sample(problem.y_d, tgrid.taus, ends)
-    m_b, k_b = space.boundary_columns
-    mq = fem1d.tridiag_dot(*mt, q_boundary)
-    b_p = _data_load(problem, space, tgrid, rows)[:N, 1:-1] - mq[:N] @ k_b.T
-    b = np.concatenate([b_p, -mq @ m_b.T]).ravel()
-    # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.sum(b * b)):
-            raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {np.abs(b).max():.3g})")
-    return AssembledSystem(
-        mt=mt,
-        kt=kt,
-        alpha=problem.alpha,
-        space=space,
-        b=b,
-        dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary),
-    )
+    traces = -fem1d.sample(problem.y_d, np.concatenate([g.taus for g in tgrids]), ends)
+    traces = np.split(traces, np.cumsum([g.N + 1 for g in tgrids])[:-1])
+    systems = []
+    for tgrid, load, q_boundary in zip(tgrids, _data_loads(problem, space, tgrids, rows), traces):
+        N = tgrid.N
+        mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
+        mq = fem1d.tridiag_dot(*mt, q_boundary)
+        b_p = load[:N, 1:-1] - mq[:N] @ k_b.T
+        b = np.concatenate([b_p, -mq @ m_b.T]).ravel()
+        # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(b * b)):
+                raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {np.abs(b).max():.3g})")
+        dofmap = DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary)
+        systems.append(AssembledSystem(mt=mt, kt=kt, alpha=problem.alpha, space=space, b=b, dofmap=dofmap))
+    return systems
 
 
-def _factor(system: AssembledSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """Fast-diagonalization factors of the system's operator, as a solve for A x = r.
+class _Batch:
+    """The time bands of systems on one space and alpha, end to end; see solve_batch.
 
-    See the module docstring for the per-mode reduction.  Raises LinAlgError
-    when a factorization meets a matrix that is not positive definite.
+    X is the time-major reshape of the stacked free values: each system's N
+    rows of p, then its N + 1 rows of q.
     """
-    lam, V = system.space.modes
-    N, n = system.dofmap.tgrid.N, lam.size
-    (md, mo), (kd, ko) = system.mt, system.kt
 
-    # Upper band of every mode matrix, modes one after another; the first
-    # superdiagonal slot of each mode stays zero, which decouples the modes.
-    diag = np.concatenate(([kd[0] + 1.0 / system.alpha], kd[1:N])) + np.outer(lam * lam, md[:N])
-    diag[:, 0] += lam
-    sup = np.zeros((n, N))
-    sup[:, 1:] = ko[: N - 1] + np.outer(lam * lam, mo[: N - 1])
-    modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
-    mass = la.cholesky_banded(np.stack([np.concatenate(([0.0], mo)), md]))
+    def __init__(self, systems: list[AssembledSystem]) -> None:
+        self.space, alpha = systems[0].space, systems[0].alpha
+        if any(s.space is not self.space or s.alpha != alpha for s in systems):
+            raise ValueError("a batch needs systems on one space and with one alpha")
+        Ns, self.n = [s.dofmap.tgrid.N for s in systems], self.space.smesh.d - 1
+        # Per system: its first row of X, N, and its first p and first q row among all p and all q rows.
+        self.blocks = list(zip(np.cumsum([0] + [2 * N + 1 for N in Ns]).tolist(), Ns,
+                               np.cumsum([0] + Ns).tolist(), np.cumsum([0] + [N + 1 for N in Ns]).tolist()))
+        self.p = np.concatenate([np.arange(o, o + N) for o, N, _, _ in self.blocks])
+        self.q = np.concatenate([np.arange(o + N, o + 2 * N + 1) for o, N, _, _ in self.blocks])
+        # The time node of each p row among the q rows.
+        self.qp = np.concatenate([np.arange(qo, qo + N) for _, N, _, qo in self.blocks])
+        self.p0, self.q0 = (np.array(first) for first in list(zip(*self.blocks))[2:])
+        # Diagonal and upper band of Mt, and of T_M's p block Kt_NN + (1/alpha) e0 e0^T.
+        self.md = np.concatenate([s.mt[0] for s in systems])
+        self.mo = np.concatenate([np.concatenate(([0.0], s.mt[1])) for s in systems])
+        self.kd = np.concatenate([np.concatenate(([s.kt[0][0] + 1.0 / alpha], s.kt[0][1:N]))
+                                  for s, N in zip(systems, Ns)])
+        self.ko = np.concatenate([np.concatenate(([0.0], s.kt[1][: N - 1])) for s, N in zip(systems, Ns)])
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        r_p = r[: N * n].reshape(N, n) @ V
-        r_q = r[N * n :].reshape(N + 1, n) @ V
-        rhs = (r_p - lam * r_q[:N]).T.ravel()
-        p = la.cho_solve_banded((modes, False), rhs, check_finite=False).reshape(n, N).T
-        q = la.cho_solve_banded((mass, False), r_q, check_finite=False)
-        q[:N] += lam * p
-        return np.concatenate([(p @ V.T).ravel(), (q @ V.T).ravel()])
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for every system at once: T_M X and T_K X from the bands, then M_I and K_I."""
+        X = x.reshape(-1, self.n)
+        x_p, x_q = X[self.p], X[self.q]
+        mt_q = fem1d.tridiag_dot(self.md, self.mo[1:], x_q)
+        padded = np.zeros_like(x_q)
+        padded[self.qp] = x_p
+        mt_p = fem1d.tridiag_dot(self.md, self.mo[1:], padded)
+        tm_x, tk_x = np.empty_like(X), np.empty_like(X)
+        tm_x[self.p], tm_x[self.q] = fem1d.tridiag_dot(self.kd, self.ko[1:], x_p), mt_q
+        tk_x[self.p], tk_x[self.q] = mt_q[self.qp], -mt_p
+        # Sum each first p row in column order, e0 first, like every other row, so that
+        # each row rounds as a row-by-row sparse product of T_M and T_K would.
+        p0, q0 = self.p0, self.q0
+        tk_x[self.p[p0]] = x_p[p0] + self.md[q0, None] * x_q[q0] + self.mo[q0 + 1, None] * x_q[q0 + 1]
+        m_i, k_i = self.space.inner_bands
+        return (fem1d.tridiag_dot(*m_i, tm_x.T) + fem1d.tridiag_dot(*k_i, tk_x.T)).T.ravel()
 
-    return solve
+    def factor(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Fast-diagonalization factors of the batch's operator, as a solve for A x = r.
+
+        See the module docstring for the per-mode reduction.  Raises LinAlgError
+        when a factorization meets a matrix that is not positive definite.
+        """
+        (lam, V), n = self.space.modes, self.n
+
+        # Upper band of every mode matrix, modes one after another and within a
+        # mode the systems; each block's first superdiagonal slot is zero.
+        diag = self.kd + np.outer(lam * lam, self.md[self.qp])
+        diag[:, self.p0] += lam[:, None]
+        sup = self.ko + np.outer(lam * lam, self.mo[self.qp])
+        modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
+        mass = la.cholesky_banded(np.stack([self.mo, self.md]))
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            # The eigenbasis transforms go system by system: one product over the
+            # stacked rows makes BLAS pick other kernels, which round differently.
+            R, rhs, r_q = r.reshape(-1, n), np.empty((n, self.kd.size)), np.empty((self.md.size, n))
+            for o, N, po, qo in self.blocks:
+                np.matmul(R[o + N : o + 2 * N + 1], V, out=r_q[qo : qo + N + 1])
+                rhs[:, po : po + N] = (R[o : o + N] @ V - lam * r_q[qo : qo + N]).T
+            p = la.cho_solve_banded((modes, False), rhs.ravel(), check_finite=False).reshape(n, -1)
+            q = la.cho_solve_banded((mass, False), r_q, check_finite=False)
+            out = np.empty_like(R)
+            for o, N, po, qo in self.blocks:
+                # A block's p is copied to the layout it has alone: at N = 1 a
+                # strided row would take BLAS's matrix-vector path.
+                p_s = np.ascontiguousarray(p[:, po : po + N]).T
+                q[qo : qo + N] += lam * p_s
+                np.matmul(p_s, V.T, out=out[o : o + N])
+                np.matmul(q[qo : qo + N + 1], V.T, out=out[o + N : o + 2 * N + 1])
+            return out.ravel()
+
+        return solve
+
+
+def solve_batch(systems: list[AssembledSystem]) -> list[EllipticSolution]:
+    """Solve systems that share one space and one alpha as one block-diagonal system.
+
+    Each band starts every system's block with a zero, so one banded
+    Cholesky covers every mode of every system and one more the time mass,
+    apply and the refinement step run once, and each solution is bitwise
+    the one its system gets alone.  Each system must meet solve_sparse's
+    residual contract on its own, or EllipticSolverError is raised.
+    Systems on another space or with another alpha raise ValueError.
+    """
+    batch, b = _Batch(systems), np.concatenate([system.b for system in systems])
+    try:
+        solve = batch.factor()
+    except la.LinAlgError as exc:
+        raise EllipticSolverError(f"tensor factorization failed: {exc}") from exc
+    x = solve(b)
+    x += solve(b - batch.apply(x))
+
+    cuts, solutions = np.cumsum([system.b.size for system in systems])[:-1], []
+    residuals = [float(np.linalg.norm(r_s)) / (float(np.linalg.norm(system.b)) or 1.0)
+                 for system, r_s in zip(systems, np.split(b - batch.apply(x), cuts))]
+    for system, x_s, residual in zip(systems, np.split(x, cuts), residuals):
+        contract = 1e-10 if np.any(system.b) else 1e-12
+        if not residual <= contract:
+            raise EllipticSolverError(
+                f"linear solve achieved residual {residual:.3e}, contract is {contract:g}"
+            )
+        (p, q), tgrid, smesh = system.dofmap.scatter(x_s), system.dofmap.tgrid, system.dofmap.smesh
+        solutions.append(
+            EllipticSolution(SpaceTimeField(tgrid, smesh, p), SpaceTimeField(tgrid, smesh, q), residual)
+        )
+    return solutions
 
 
 def solve_sparse(system: AssembledSystem) -> EllipticSolution:
-    """Direct tensor-product solve with one step of iterative refinement.
+    """Direct tensor-product solve with one step of iterative refinement: solve_batch of one.
 
     The contract is a relative residual of at most 1e-10 (absolute 1e-12
     for a zero load), measured with the matrix-free product system.apply;
     anything worse, or a residual that is not a number, raises
     EllipticSolverError instead of returning a silently inaccurate solution.
     """
-    b = system.b
-    try:
-        solve = _factor(system)
-    except la.LinAlgError as exc:
-        raise EllipticSolverError(f"tensor factorization failed: {exc}") from exc
-    x = solve(b)
-    x += solve(b - system.apply(x))
-
-    residual = float(np.linalg.norm(b - system.apply(x))) / (float(np.linalg.norm(b)) or 1.0)
-    contract = 1e-10 if np.any(b) else 1e-12
-    if not residual <= contract:
-        raise EllipticSolverError(
-            f"linear solve achieved residual {residual:.3e}, contract is {contract:g}"
-        )
-
-    p_vals, q_vals = system.dofmap.scatter(x)
-    tgrid, smesh = system.dofmap.tgrid, system.dofmap.smesh
-    return EllipticSolution(
-        p=SpaceTimeField(tgrid, smesh, p_vals),
-        q=SpaceTimeField(tgrid, smesh, q_vals),
-        solver_residual=residual,
-    )
+    return solve_batch([system])[0]

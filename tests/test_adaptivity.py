@@ -141,13 +141,12 @@ def test_indicator_matches_a_brute_force_quadrature_with_variable_coefficients()
     ind = adaptivity.compute_indicators(spec, sol, sm, tg)
     expected = _brute_force_indicators(spec, sm, tg.taus, sol.q.values)
     np.testing.assert_allclose(ind.per_interval, expected, rtol=1e-12)
-    # The loop scores each cycle's grid from its own solve the same way.
+    # The loop marks on the data-only indicator, q = 0, with reference errors too.
     cfg = AdaptConfig(n_initial=3, n_max=7, record_reference_error=True)
     _, history = adaptivity.adapt_loop(spec, sm, cfg)
     assert len(history.cycles) == 5
     for rec in history.cycles:
-        q = elliptic.solve_sparse(elliptic.assemble(spec, sm, mesh.build_time_grid(rec.taus))).q
-        expected = _brute_force_indicators(spec, sm, rec.taus, q.values)
+        expected = _brute_force_indicators(spec, sm, rec.taus, np.zeros((rec.n_intervals + 1, sm.d + 1)))
         np.testing.assert_allclose(rec.eta_sq, expected, rtol=1e-12)
 
 
@@ -337,7 +336,7 @@ def test_history_csv_shape():
 
 
 def _fresh_loop(problem, smesh, cfg):
-    """The adapt loop without a cache: every cycle scores every interval anew."""
+    """The adapt loop without a cache: every cycle scores every interval anew, from the data alone."""
     tgrid = mesh.build_uniform_time_grid(problem.T, cfg.n_initial)
     if cfg.record_reference_error:
         ref_grid = mesh.build_uniform_time_grid(problem.T, 4 * cfg.n_max)
@@ -345,12 +344,12 @@ def _fresh_loop(problem, smesh, cfg):
         ref_p0 = elliptic.solve_sparse(ref_sys).p.values[0]
     records = []
     while True:
-        sol, true_error = None, None
+        true_error = None
         if cfg.record_reference_error:
             sol = elliptic.solve_sparse(elliptic.assemble(problem, smesh, tgrid))
             diff = ref_p0 - sol.p.values[0]
             true_error = float(np.sqrt(diff @ (ref_sys.space.M @ diff)))
-        ind = adaptivity.compute_indicators(problem, sol, smesh, tgrid)
+        ind = adaptivity.compute_indicators(problem, None, smesh, tgrid)
         records.append((tgrid.taus, ind.per_interval, float(np.sqrt(ind.total)), true_error))
         marks = adaptivity.mark(ind, cfg)
         if tgrid.N >= cfg.n_max or not marks:
@@ -360,18 +359,19 @@ def _fresh_loop(problem, smesh, cfg):
 
 @pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
 @pytest.mark.parametrize(
-    "problem, reference",
+    "problem, reference, grows",
     [
-        (problems.example3()[0], False),
-        (problems.example2(), True),
-        # Variable a(x) and a0(x): the -A q term carries the whole indicator.
-        (variable_coefficient_problem(), True),
-        # Nonzero f as well: the cross term 2 f (-A q) counts.
-        (_forced_variable_problem(), True),
+        (problems.example3()[0], False, True),
+        (problems.example2(), True, True),
+        # Variable a(x) and a0(x) with zero data: the data-only indicator is
+        # zero, so the loop stops at cycle 0 even with reference errors on.
+        (variable_coefficient_problem(), True, False),
+        # Nonzero f as well.
+        (_forced_variable_problem(), True, True),
     ],
     ids=["example3-data-only", "example2-reference", "variable-reference", "variable-forced-reference"],
 )
-def test_cached_loop_matches_a_fresh_loop(problem, reference, strategy):
+def test_cached_loop_matches_a_fresh_loop(problem, reference, grows, strategy):
     sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
     cfg = AdaptConfig(
         strategy=strategy, theta_mark=0.3, n_initial=3, n_max=12,
@@ -379,12 +379,34 @@ def test_cached_loop_matches_a_fresh_loop(problem, reference, strategy):
     )
     _, history = adaptivity.adapt_loop(problem, sm, cfg)
     fresh = _fresh_loop(problem, sm, cfg)
-    assert len(history.cycles) == len(fresh) > 2
+    assert len(history.cycles) == len(fresh)
+    assert len(fresh) > 2 if grows else len(fresh) == 1
     for rec, (taus, eta_sq, eta_total, true_error) in zip(history.cycles, fresh):
         assert np.array_equal(rec.taus, taus)
         assert np.array_equal(rec.eta_sq, eta_sq)
         assert rec.eta_total == eta_total
         assert rec.true_error == true_error
+
+
+@pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
+@pytest.mark.parametrize(
+    "problem",
+    [variable_coefficient_problem(), _forced_variable_problem(), problems.example3(eps=0.05)[0]],
+    ids=["variable", "variable-forced", "example3-eps0.05"],
+)
+def test_recording_reference_errors_leaves_the_grids_unchanged(problem, strategy):
+    # The option only measures: the loop marks on the data-only indicator
+    # either way, even where -A q is nonzero.
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
+    cfg = AdaptConfig(strategy=strategy, theta_mark=0.3, n_initial=3, n_max=12)
+    _, plain = adaptivity.adapt_loop(problem, sm, cfg)
+    _, recorded = adaptivity.adapt_loop(problem, sm, replace(cfg, record_reference_error=True))
+    assert len(plain.cycles) == len(recorded.cycles)
+    for rec, ref in zip(plain.cycles, recorded.cycles):
+        assert rec.taus.tobytes() == ref.taus.tobytes()
+        assert rec.eta_sq.tobytes() == ref.eta_sq.tobytes()
+        assert rec.eta_total == ref.eta_total
+        assert rec.true_error is None and ref.true_error is not None
 
 
 def test_adapt_loop_samples_each_interval_once():
@@ -411,7 +433,8 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     # nodes per interval of the 160-interval reference, at 16 x 3 + 3 nodes
     # per interval the cycles create (5 + 2 x 35), and at 3 nodes per
     # interval of the uniform grids of 6..40 intervals (cycle 0's grid is
-    # uniform already).
+    # uniform already).  The 72 solves run in 12 batches, each of which samples
+    # y_d twice (lateral trace, initial term) and y_b once.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
     cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
@@ -422,26 +445,46 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
         points.append(np.broadcast(t, x).size)
         return spec.f(t, x)
 
-    counted_spec = replace(spec, f=counted)
+    calls = dict.fromkeys(("y_d", "y_d_t", "Ay_d", "y_b"), 0)
+
+    def counting(name):
+        fun = getattr(spec, name)
+
+        def counted_call(*args):
+            calls[name] += 1
+            return fun(*args)
+
+        return counted_call
+
+    counted_spec = replace(spec, f=counted, **{name: counting(name) for name in calls})
     shapes.clear()  # drop the spot check that construction ran
     points.clear()
-    solves = []
-    solve_sparse = elliptic.solve_sparse
+    calls.update(dict.fromkeys(calls, 0))
+    batches = []
+    solve_batch = elliptic.solve_batch
 
-    def counted_solve(system):
-        solves.append(system.dofmap.tgrid.N)
-        return solve_sparse(system)
+    def counted_solve(systems):
+        batches.append([system.dofmap.tgrid.N for system in systems])
+        return solve_batch(systems)
 
-    monkeypatch.setattr(elliptic, "solve_sparse", counted_solve)
+    monkeypatch.setattr(elliptic, "solve_batch", counted_solve)
     tgrid, history = adaptivity.adapt_loop(counted_spec, sm, cfg)
     assert tgrid.N == 40 and len(history.cycles) == 36
     uniform_intervals = sum(range(6, 41))
     assert sum(points) == (160 * 3 + 75 * 51 + uniform_intervals * 3) * sm.d * 3
     # t comes shaped (intervals, nodes, 1, 1).
     assert max(shape[0] for shape in shapes) <= 4 * cfg.n_max
-    # 1 reference solve, 36 cycle solves and 35 uniform solves.
+    # 1 reference solve, 36 cycle solves and 35 uniform solves, in batches of
+    # at most 4 * n_max intervals.
+    solves = [n for batch in batches for n in batch]
     assert len(solves) == 72
     assert sorted(solves) == sorted([160, *range(5, 41), *range(6, 41)])
+    assert max(sum(batch) for batch in batches) <= 4 * cfg.n_max
+    assert len(batches) == 12 and calls == {"y_d": 24, "y_d_t": 43, "Ay_d": 43, "y_b": 12}
+    # f is sampled once per cycle, for the reference, and for each of the 6
+    # batches that hold uniform grids: 153 (t, x) callback calls in all.
+    assert len(shapes) == 36 + 1 + 6
+    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 153
 
     # Each uniform error equals a fresh solve on its grid, bit for bit.
     monkeypatch.undo()

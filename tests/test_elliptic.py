@@ -210,7 +210,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
         [-coupling[q_free][:, p_free], a_qq[q_free][:, q_free]],
     ]).tocsr()
 
-    load = elliptic._data_load(spec, mats, tgrid).ravel()
+    load = elliptic._data_loads(spec, mats, [tgrid], [None])[0].ravel()
     b_p = load[p_free] - coupling[p_free][:, q_fixed] @ q_fixed_values
     b_q = -(a_qq[q_free][:, q_fixed] @ q_fixed_values)
     return A, np.concatenate([b_p, b_q]), (p_free, q_free, q_fixed, q_fixed_values)
@@ -363,7 +363,7 @@ def test_data_load_puts_each_interval_on_its_own_time_hats():
     space_hats = np.full(sm.d + 1, sm.h)
     space_hats[[0, -1]] = sm.h / 2.0
     expected = np.outer(time_hats, space_hats)
-    np.testing.assert_allclose(elliptic._data_load(spec, space, tg), expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(elliptic._data_loads(spec, space, [tg], [None])[0], expected, rtol=1e-13, atol=0.0)
 
 
 def _graded_towards_zero(bisections):
@@ -390,6 +390,62 @@ def test_residual_contract_fails_loudly_below_its_known_limit():
     system = elliptic.assemble(spec, sm, _graded_towards_zero(20))
     with pytest.raises(elliptic.EllipticSolverError, match="contract is 1e-10"):
         elliptic.solve_sparse(system)
+
+
+@pytest.mark.parametrize("d", [2, 3, 40])
+@pytest.mark.parametrize("problem", [problems.example2(), variable_coefficient_problem()], ids=["example2", "variable"])
+def test_batched_solutions_equal_single_solves_bitwise(problem, d):
+    sm = mesh.build_spatial_mesh(0.0, 1.0, d)
+    space = fem1d.assemble_spatial_matrices(sm, problem.a, problem.a0)
+    grids = [
+        mesh.build_uniform_time_grid(1.0, 1),
+        _graded_towards_zero(6),
+        mesh.build_uniform_time_grid(1.0, 7),
+        mesh.build_time_grid([0.0, 0.05, 0.3, 0.35, 0.8, 1.0]),
+        mesh.build_uniform_time_grid(1.0, 1),
+    ]
+    systems = elliptic.assemble_batch(problem, space, grids, [None] * len(grids))
+    for system, batched in zip(systems, elliptic.solve_batch(systems)):
+        single = elliptic.assemble(problem, sm, system.dofmap.tgrid, space=space)
+        alone = elliptic.solve_sparse(single)
+        assert system.b.tobytes() == single.b.tobytes()
+        assert batched.p.values.tobytes() == alone.p.values.tobytes()
+        assert batched.q.values.tobytes() == alone.q.values.tobytes()
+        assert batched.solver_residual == alone.solver_residual
+
+
+def test_a_batch_checks_the_residual_contract_per_system():
+    # The known-limit grid (1.1e-9 alone) between two easy systems whose loads
+    # are 10 and 14 times larger: one residual norm over the whole batch
+    # would read 6.5e-11 and pass.
+    spec, _ = problems.example3(eps=0.05)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 120)
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    grids = [mesh.build_uniform_time_grid(1.0, 40), _graded_towards_zero(20), mesh.build_uniform_time_grid(1.0, 80)]
+    with pytest.raises(elliptic.EllipticSolverError, match="contract is 1e-10"):
+        elliptic.solve_batch(elliptic.assemble_batch(spec, space, grids, [None] * 3))
+
+
+def test_a_zero_load_member_of_a_batch_keeps_the_absolute_contract():
+    spec = problems.example2()
+    zero = replace(spec, f=_zero, y_d=_zero, y_d_t=_zero, Ay_d=_zero, y_b=_zero_coefficient)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    easy = elliptic.assemble_batch(spec, space, [mesh.build_uniform_time_grid(1.0, n) for n in (4, 9)], [None] * 2)
+    (empty,) = elliptic.assemble_batch(zero, space, [_graded_towards_zero(3)], [None])
+    assert not np.any(empty.b)
+    sols = elliptic.solve_batch([easy[0], empty, easy[1]])
+    assert sols[1].solver_residual == 0.0
+    assert not np.any(sols[1].p.values) and not np.any(sols[1].q.values)
+    assert all(0.0 < sol.solver_residual <= 1e-10 for sol in sols[::2])
+
+
+def test_a_batch_refuses_systems_on_another_space_or_alpha(ex1i, smesh40, tgrid40, ex1i_system):
+    own_space = elliptic.assemble(ex1i, smesh40, tgrid40)
+    with pytest.raises(ValueError, match="one space"):
+        elliptic.solve_batch([ex1i_system, own_space])
+    with pytest.raises(ValueError, match="one alpha"):
+        elliptic.solve_batch([ex1i_system, replace(ex1i_system, alpha=2.0 * ex1i_system.alpha)])
 
 
 def test_assembly_and_solve_use_no_scipy_sparse(monkeypatch, ex1i, smesh40, tgrid40):
