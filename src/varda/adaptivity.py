@@ -283,7 +283,7 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
             systems = elliptic.assemble_batch(problem, space, [g for g, _ in batch], rows)
             p0 += [sol.p.values[0].copy() for sol in elliptic.solve_batch(systems)]
         diffs = [ref_p0 - p for p in p0]
-        return [float(np.sqrt(diff @ (space.M @ diff))) for diff in diffs]
+        return [float(np.sqrt(diff @ fem1d.tridiag_dot(*space.m_band, diff))) for diff in diffs]
 
     return errors
 

@@ -48,11 +48,12 @@ it into the p rows leaves
 with Mt_NN the leading N x N block of Mt.  Kt_NN and Mt_NN are symmetric
 positive definite tridiagonal matrices, so for lam > -1/alpha (always, when
 a > 0 and a0 >= 0 make K_hat positive definite) every mode matrix is SPD and
-tridiagonal.  Cholesky needs no pivoting on SPD matrices and is backward
-stable, unlike the nonsymmetric 2 x 2 block form of each mode.  All modes are
-factored at once as one block-diagonal band, and solve_batch does the same
-for the modes of many systems on one space and alpha, their time bands end
-to end with zero coupling at each junction.
+tridiagonal.  Its LDL^T factorization needs no pivoting and is backward
+stable, unlike the nonsymmetric 2 x 2 block form of each mode.  Every mode
+matrix and the time mass of each system are the lanes of one tridiagonal
+kernel (fem1d.tridiag_factor), laid side by side and padded after their
+last rows, so one loop over the time rows factors them all, for one system
+or for the many systems on one space and alpha that solve_batch takes.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
 
 from . import fem1d
 from .mesh import SpaceTimeField, SpatialMesh, TimeGrid
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .assimilation import ProblemSpec
 
 __all__ = [
@@ -151,10 +152,12 @@ class AssembledSystem:
 
     @cached_property
     def A(self) -> sp.csr_array:
-        """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read."""
+        """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read; no run reads it."""
+        import scipy.sparse as sp
+
         N, (kd, ko), space = self.dofmap.tgrid.N, self.kt, self.space
-        mt, e0 = fem1d.band_matrix(*self.mt), sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
-        t_m = sp.block_diag([fem1d.band_matrix(kd[:N], ko[: N - 1]) + e0 / self.alpha, mt], format="csr")
+        mt, e0 = fem1d._band_matrix(*self.mt), sp.coo_array(([1.0], ([0], [0])), shape=(N, N))
+        t_m = sp.block_diag([fem1d._band_matrix(kd[:N], ko[: N - 1]) + e0 / self.alpha, mt], format="csr")
         t_k = sp.block_array([[e0, mt[:N]], [-mt[:, :N], None]], format="csr")
         return (sp.kron(t_m, space.m_inner) + sp.kron(t_k, space.k_inner)).tocsr()
 
@@ -260,10 +263,11 @@ def assemble_batch(
 
 
 class _Batch:
-    """The time bands of systems on one space and alpha, end to end; see solve_batch.
+    """The time bands of systems on one space and alpha, end to end and side by side; see solve_batch.
 
     X is the time-major reshape of the stacked free values: each system's N
-    rows of p, then its N + 1 rows of q.
+    rows of p, then its N + 1 rows of q.  apply runs on the bands end to end
+    and factor on the same bands side by side, one column per system.
     """
 
     def __init__(self, systems: list[AssembledSystem]) -> None:
@@ -285,6 +289,16 @@ class _Batch:
         self.kd = np.concatenate([np.concatenate(([s.kt[0][0] + 1.0 / alpha], s.kt[0][1:N]))
                                   for s, N in zip(systems, Ns)])
         self.ko = np.concatenate([np.concatenate(([0.0], s.kt[1][: N - 1])) for s, N in zip(systems, Ns)])
+        # The same bands side by side, one column per system, an off band's slot i coupling rows
+        # i and i + 1: kd, ko of the p block, zero after its N rows, and md, mo of Mt, identity
+        # rows after its N + 1.  factor masks the p lanes to N rows, which cuts Mt to Mt_NN.
+        steps = max(Ns) + 1
+        self.side = np.zeros((4, steps, len(Ns)))  # kd, ko, md, mo
+        self.side[2] = 1.0
+        for (_, N, po, qo), kd, ko, md, mo in zip(self.blocks, *self.side.transpose(0, 2, 1)):
+            kd[:N], ko[: N - 1] = self.kd[po : po + N], self.ko[po + 1 : po + N]
+            md[: N + 1], mo[:N] = self.md[qo : qo + N + 1], self.mo[qo + 1 : qo + N + 1]
+        self.p_rows = np.arange(steps)[:, None] < np.array(Ns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x for every system at once: T_M X and T_K X from the bands, then M_I and K_I."""
@@ -307,36 +321,36 @@ class _Batch:
     def factor(self) -> Callable[[np.ndarray], np.ndarray]:
         """Fast-diagonalization factors of the batch's operator, as a solve for A x = r.
 
-        See the module docstring for the per-mode reduction.  Raises LinAlgError
-        when a factorization meets a matrix that is not positive definite.
+        See the module docstring for the per-mode reduction.  Lane (s, k) holds
+        system s's mode-k matrix and lane (S + s, k) its time mass, for the
+        q rows' column k; a lane shorter than the longest is padded after its
+        last row with identity rows.  Raises LinAlgError when a factorization
+        meets a matrix that is not positive definite.
         """
-        (lam, V), n = self.space.modes, self.n
-
-        # Upper band of every mode matrix, modes one after another and within a
-        # mode the systems; each block's first superdiagonal slot is zero.
-        diag = self.kd + np.outer(lam * lam, self.md[self.qp])
-        diag[:, self.p0] += lam[:, None]
-        sup = self.ko + np.outer(lam * lam, self.mo[self.qp])
-        modes = la.cholesky_banded(np.stack([sup.ravel(), diag.ravel()]))
-        mass = la.cholesky_banded(np.stack([self.mo, self.md]))
+        (lam, V), n, (_, steps, S) = self.space.modes, self.n, self.side.shape
+        kd, ko, md, mo = (band[:, :, None] for band in self.side)
+        keep, lam2 = self.p_rows[:, :, None], lam * lam
+        diag = np.concatenate([np.where(keep, kd + lam2 * md, 1.0), np.broadcast_to(md, (steps, S, n))], axis=1)
+        diag[0, :S] += lam
+        off = np.concatenate([np.where(keep[1:], ko[:-1] + lam2 * mo[:-1], 0.0),
+                              np.broadcast_to(mo[:-1], (steps - 1, S, n))], axis=1)
+        d, l = fem1d.tridiag_factor(diag, off)
 
         def solve(r: np.ndarray) -> np.ndarray:
-            # The eigenbasis transforms go system by system: one product over the
-            # stacked rows makes BLAS pick other kernels, which round differently.
-            R, rhs, r_q = r.reshape(-1, n), np.empty((n, self.kd.size)), np.empty((self.md.size, n))
-            for o, N, po, qo in self.blocks:
-                np.matmul(R[o + N : o + 2 * N + 1], V, out=r_q[qo : qo + N + 1])
-                rhs[:, po : po + N] = (R[o : o + N] @ V - lam * r_q[qo : qo + N]).T
-            p = la.cho_solve_banded((modes, False), rhs.ravel(), check_finite=False).reshape(n, -1)
-            q = la.cho_solve_banded((mass, False), r_q, check_finite=False)
+            # The eigenbasis transforms go system by system, each on a contiguous
+            # block: one product over the stacked rows makes BLAS pick other kernels,
+            # which round differently.
+            R, x = r.reshape(-1, n), np.zeros((steps, 2 * S, n))
+            for s, (o, N, _, _) in enumerate(self.blocks):
+                r_q = R[o + N : o + 2 * N + 1] @ V
+                x[: N + 1, S + s], x[:N, s] = r_q, R[o : o + N] @ V - lam * r_q[:N]
+            fem1d.tridiag_solve(d, l, x)
             out = np.empty_like(R)
-            for o, N, po, qo in self.blocks:
-                # A block's p is copied to the layout it has alone: at N = 1 a
-                # strided row would take BLAS's matrix-vector path.
-                p_s = np.ascontiguousarray(p[:, po : po + N]).T
-                q[qo : qo + N] += lam * p_s
+            for s, (o, N, _, _) in enumerate(self.blocks):
+                p_s, q_s = x[:N, s].copy(), x[: N + 1, S + s].copy()
+                q_s[:N] += lam * p_s
                 np.matmul(p_s, V.T, out=out[o : o + N])
-                np.matmul(q[qo : qo + N + 1], V.T, out=out[o + N : o + 2 * N + 1])
+                np.matmul(q_s, V.T, out=out[o + N : o + 2 * N + 1])
             return out.ravel()
 
         return solve
@@ -345,17 +359,17 @@ class _Batch:
 def solve_batch(systems: list[AssembledSystem]) -> list[EllipticSolution]:
     """Solve systems that share one space and one alpha as one block-diagonal system.
 
-    Each band starts every system's block with a zero, so one banded
-    Cholesky covers every mode of every system and one more the time mass,
-    apply and the refinement step run once, and each solution is bitwise
-    the one its system gets alone.  Each system must meet solve_sparse's
+    Every mode of every system, and every system's time mass, is one lane
+    of one tridiagonal LDL^T factorization, apply and the refinement step
+    run once, and since each lane's arithmetic is elementwise, each
+    solution is bitwise the one its system gets alone.  Each system must meet solve_sparse's
     residual contract on its own, or EllipticSolverError is raised.
     Systems on another space or with another alpha raise ValueError.
     """
     batch, b = _Batch(systems), np.concatenate([system.b for system in systems])
     try:
         solve = batch.factor()
-    except la.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise EllipticSolverError(f"tensor factorization failed: {exc}") from exc
     x = solve(b)
     x += solve(b - batch.apply(x))

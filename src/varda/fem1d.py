@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
 
 from .mesh import SpatialMesh, TimeGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ElementMatrices",
@@ -33,8 +34,11 @@ __all__ = [
     "time_quadrature",
     "assemble_spatial_matrices",
     "assemble_line_matrices",
-    "band_matrix",
+    "eigenbasis",
+    "tridiag_dense",
     "tridiag_dot",
+    "tridiag_factor",
+    "tridiag_solve",
 ]
 
 _GAUSS_RULES = {
@@ -60,47 +64,59 @@ class ElementMatrices:
 
 @dataclass(frozen=True)
 class SpatialOperatorMatrices:
-    """The spatial discretization of one run: global matrices, interior blocks, modes.
+    """The spatial discretization of one run: global bands, interior blocks, modes.
 
     M is the plain mass matrix and K the stiffness of -(a v')' + a0 v: the
     diffusion stiffness weighted by a(x) plus the mass matrix weighted by
-    the reaction coefficient a0(x).  Both are symmetric.  The space keeps
-    its mesh, Gauss rule quad and a, a0 callables, is built once per run and
-    is shared by every solve, replay and oracle on its mesh.  m_inner and
-    k_inner (M_I and K_I), their bands, the boundary columns the solver
-    lifts through, and the eigenbasis modes are built on first read.
+    the reaction coefficient a0(x).  Both are symmetric tridiagonal and kept
+    as their (diag, off) bands m_band and k_band.  The space keeps its mesh,
+    Gauss rule quad and a, a0 callables, is built once per run and is shared
+    by every solve, replay and oracle on its mesh.  The interior bands, the
+    boundary columns the solver lifts through and the eigenbasis modes are
+    built on first read, and so are the sparse views M, K, m_inner and
+    k_inner (M_I and K_I), which no run reads.
     """
 
     smesh: SpatialMesh
     quad: SpatialQuadrature
     a: Callable
     a0: Callable
-    M: sp.csr_array
-    K: sp.csr_array
+    m_band: tuple[np.ndarray, np.ndarray]
+    k_band: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def M(self) -> sp.csr_array:
+        return _band_matrix(*self.m_band)
+
+    @cached_property
+    def K(self) -> sp.csr_array:
+        return _band_matrix(*self.k_band)
 
     @cached_property
     def m_inner(self) -> sp.csr_array:
-        return self.M[1:-1, 1:-1]
+        return _band_matrix(*self.inner_bands[0])
 
     @cached_property
     def k_inner(self) -> sp.csr_array:
-        return self.K[1:-1, 1:-1]
+        return _band_matrix(*self.inner_bands[1])
 
     @cached_property
     def inner_bands(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """((diag, off), (diag, off)) bands of M_I and K_I, for tridiag_dot."""
-        return tuple((mat.diagonal()[1:-1], mat.diagonal(1)[1:-1]) for mat in (self.M, self.K))
+        return tuple((diag[1:-1], off[1:-1]) for diag, off in (self.m_band, self.k_band))
 
     @cached_property
     def boundary_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """M[1:-1, ::d] and K[1:-1, ::d]: interior rows, the two boundary columns, dense."""
-        d = self.smesh.d
-        return self.M[1:-1, ::d].toarray(), self.K[1:-1, ::d].toarray()
+        columns = np.zeros((2, self.smesh.d - 1, 2))
+        for cols, (_, off) in zip(columns, (self.m_band, self.k_band)):
+            cols[0, 0], cols[-1, 1] = off[0], off[-1]
+        return tuple(columns)
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, V) with K_I V = M_I V diag(lam), V^T M_I V = I; LinAlgError unless M_I is SPD."""
-        return la.eigh(self.k_inner.toarray(), self.m_inner.toarray())
+        return eigenbasis(*self.inner_bands)
 
 
 def element_matrices(length: float) -> ElementMatrices:
@@ -210,8 +226,10 @@ def _bands(e00: np.ndarray, e01: np.ndarray, e11: np.ndarray) -> tuple[np.ndarra
     return np.concatenate((e00, [0.0])) + np.concatenate(([0.0], e11)), e01
 
 
-def band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
-    """The symmetric tridiagonal matrix with these bands, as CSR."""
+def _band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
+    """The symmetric tridiagonal matrix with these bands, as CSR: a view for checks, off the run path."""
+    import scipy.sparse as sp
+
     return sp.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
 
 
@@ -241,6 +259,76 @@ def tridiag_dot(diag: np.ndarray, off: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with these bands, as a dense array."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+# The LDL^T kernel (Golub & Van Loan, Matrix Computations, 4th ed., 4.3):
+# rows run along the first axis and every other axis holds independent
+# lanes, each one matrix, so a lane's result does not depend on its
+# neighbours.  A lane shorter than the array is padded after its last row
+# with identity rows, which a zero off entry leaves uncoupled.
+def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, l) with A = L D L^T per lane: D = diag(d) and L unit lower bidiagonal, l below its diagonal.
+
+    diag (m, lanes...) and off (m - 1, lanes...), with at least one lane
+    axis, are the bands of symmetric tridiagonal matrices in tridiag_dot's
+    layout.  Raises LinAlgError on a pivot that is not positive, before
+    dividing by it.
+    """
+    d, l = np.array(diag, dtype=float, order="C"), np.empty(np.shape(off))
+    buf = np.empty_like(d[0])
+    for j in range(len(d)):
+        if not d[j].min() > 0.0:
+            raise np.linalg.LinAlgError(f"matrix is not positive definite: pivot {j} is {d[j].min()}")
+        if j + 1 < len(d):
+            np.divide(off[j], d[j], out=l[j])
+            np.subtract(d[j + 1], np.multiply(l[j], off[j], out=buf), out=d[j + 1])
+    return d, l
+
+
+def _sweep_down(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r <- L^-1 r in place, L unit lower bidiagonal with l below its diagonal."""
+    buf = np.empty_like(r[0])
+    for j in range(1, len(r)):
+        np.subtract(r[j], np.multiply(l[j - 1], r[j - 1], out=buf), out=r[j])
+    return r
+
+
+def _sweep_up(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r <- L^-T r in place."""
+    buf = np.empty_like(r[0])
+    for j in range(len(r) - 2, -1, -1):
+        np.subtract(r[j], np.multiply(l[j], r[j + 1], out=buf), out=r[j])
+    return r
+
+
+def tridiag_solve(d: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r <- A^-1 r in place, from tridiag_factor's (d, l) of A; r has d's shape."""
+    _sweep_down(l, r)
+    r /= d
+    return _sweep_up(l, r)
+
+
+def eigenbasis(m_band: tuple[np.ndarray, np.ndarray], k_band: tuple[np.ndarray, np.ndarray]):
+    """(lam, V) with K V = M V diag(lam) and V^T M V = I, ascending lam, for tridiagonal SPD M.
+
+    Reduces the symmetric-definite pencil by M's Cholesky factor
+    L = L_1 D^(1/2) (Golub & Van Loan, 8.7): W diagonalizes the symmetrized
+    L^-1 K L^-T, and V = L^-T W.  Raises LinAlgError unless M is positive
+    definite.
+    """
+    (diag, off), K = m_band, tridiag_dense(*k_band)
+    d, l = tridiag_factor(diag[:, None], off[:, None])
+    scale = 1.0 / np.sqrt(d)
+    # L_1^-1 K L_1^-T, then D^(-1/2) on both sides.
+    half = _sweep_down(l, K)
+    c = _sweep_down(l, np.ascontiguousarray(half.T)) * scale * scale.T
+    lam, W = np.linalg.eigh(0.5 * (c + c.T))
+    return lam, _sweep_up(l, W * scale)
+
+
 def assemble_spatial_matrices(
     smesh: SpatialMesh,
     a: Callable,
@@ -266,9 +354,8 @@ def assemble_spatial_matrices(
     m_el = element_matrices(h).mass
     k_scale = (a_vals @ gw) / (2.0 * h)
     pairs = ((0, 0), (0, 1), (1, 1))
-    M = band_matrix(*_bands(*(np.full(smesh.d, m_el[ij]) for ij in pairs)))
+    m_band = _bands(*(np.full(smesh.d, m_el[ij]) for ij in pairs))
     k_diag, k_off = _bands(k_scale, -k_scale, k_scale)
     # Banding diffusion and reaction apart fixes the rounding order of K's diagonal.
     r_diag, r_off = _bands(*((h / 2.0) * (a0_vals * (phi[i] * phi[j])) @ gw for i, j in pairs))
-    K = band_matrix(k_diag + r_diag, k_off + r_off)
-    return SpatialOperatorMatrices(smesh, quad, a, a0, M, K)
+    return SpatialOperatorMatrices(smesh, quad, a, a0, m_band, (k_diag + r_diag, k_off + r_off))

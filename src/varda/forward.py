@@ -74,8 +74,8 @@ def _modal_march(
     the interior values at t = 0, or at t = T when marching backward.
     """
     lam, V = space.modes
-    mass, stiffness, theta = space.m_inner, space.k_inner, cfg.theta
-    load = (source @ space.M.T)[:, 1:-1]
+    (mass, stiffness), theta = space.inner_bands, cfg.theta
+    load = fem1d.tridiag_dot(*space.m_band, source.T).T[:, 1:-1]
     push = cfg.tgrid.deltas[:, None] * (theta * load[1:] + (1.0 - theta) * load[:-1])
     # The adjoint is the same march on the time-reversed arrays.
     order = slice(None, None, -1) if backward else slice(None)
@@ -83,7 +83,7 @@ def _modal_march(
     keep, gain = 1.0 - (1.0 - theta) * dt * lam, 1.0 + theta * dt * lam
 
     def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        z = [V.T @ (mass @ y0)]
+        z = [V.T @ fem1d.tridiag_dot(*mass, y0)]
         for keep_j, push_j, gain_j in zip(keep, push @ V, gain):
             z.append((keep_j * z[-1] + push_j) / gain_j)
         y = np.array(z) @ V.T
@@ -92,7 +92,8 @@ def _modal_march(
 
     y = march(push, start)
     y_theta = theta * y[1:] + (1.0 - theta) * y[:-1]
-    residual = push - (y[1:] - y[:-1]) @ mass.T - dt * (y_theta @ stiffness.T)
+    residual = push - fem1d.tridiag_dot(*mass, (y[1:] - y[:-1]).T).T
+    residual -= dt * fem1d.tridiag_dot(*stiffness, y_theta.T).T
     y += march(residual, np.zeros_like(start))
     return y[order]
 
@@ -182,7 +183,7 @@ def kkt_oracle(
         )
 
     cfg = ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
-    M, m_inner = space.M, space.m_inner.toarray()
+    m_band, m_inner = space.m_band, fem1d.tridiag_dense(*space.inner_bands[0])
     n_x = smesh.d + 1
 
     # S[t, k] is the interior state at time node t from the k-th interior hat.
@@ -193,8 +194,8 @@ def kkt_oracle(
     w_t = trapezoid_time_weights(tgrid)
 
     G = np.einsum("t,tki,tli->kl", w_t, S, S @ m_inner) + problem.alpha * m_inner
-    rhs = np.einsum("t,tki,ti->k", w_t, S, (misfit @ M.T)[:, 1:-1])
-    rhs += problem.alpha * (M @ fem1d._coefficient_at(problem.y_b, smesh.nodes))[1:-1]
+    rhs = np.einsum("t,tki,ti->k", w_t, S, fem1d.tridiag_dot(*m_band, misfit.T).T[:, 1:-1])
+    rhs += problem.alpha * fem1d.tridiag_dot(*m_band, fem1d._coefficient_at(problem.y_b, smesh.nodes))[1:-1]
 
     u = np.zeros(n_x)
     u[1:-1] = np.linalg.solve(G, rhs)
@@ -218,4 +219,4 @@ def optimality_residual(
     p = solve_adjoint_classic(problem, y, cfg, space)
     y_b_nodal = fem1d._coefficient_at(problem.y_b, space.smesh.nodes)
     gap = (u - (y_b_nodal - p.values[0] / problem.alpha))[1:-1]
-    return float(np.sqrt(gap @ (space.m_inner @ gap)))
+    return float(np.sqrt(gap @ fem1d.tridiag_dot(*space.inner_bands[0], gap)))

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from varda import elliptic, fem1d, mesh, problems
 
@@ -34,8 +33,8 @@ def ex1i_solution(ex1i_system):
 
 @pytest.fixture
 def spatial_builds(monkeypatch):
-    """Live counts of fem1d.assemble_spatial_matrices and scipy.linalg.eigh calls."""
-    calls = {"assemble_spatial_matrices": 0, "eigh": 0}
+    """Live counts of fem1d.assemble_spatial_matrices and fem1d.eigenbasis calls."""
+    calls = {"assemble_spatial_matrices": 0, "eigenbasis": 0}
 
     def count(module, name):
         fn = getattr(module, name)
@@ -47,7 +46,7 @@ def spatial_builds(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(fem1d, "assemble_spatial_matrices")
-    count(la, "eigh")
+    count(fem1d, "eigenbasis")
     return calls
 
 

@@ -284,9 +284,9 @@ def test_reference_route_builds_one_spatial_operator(spatial_builds):
     smesh = mesh.build_spatial_mesh(*spec.domain, 20)
     cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
     _, history = adaptivity.adapt_loop(spec, smesh, cfg)
-    # 36 cycle solves and the reference solve share one space and one eigh.
+    # 36 cycle solves and the reference solve share one space and one eigenbasis.
     assert len(history.cycles) == 36
-    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigh": 1}
+    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigenbasis": 1}
 
 
 @pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])

@@ -250,14 +250,14 @@ def test_adapt_with_reference_errors_builds_one_spatial_operator(tmp_path, spati
     )
     assert code == 0
     # The reference solve, every cycle's solve and every uniform solve share one space.
-    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigh": 1}
+    assert spatial_builds == {"assemble_spatial_matrices": 1, "eigenbasis": 1}
     assert len((out / "error_vs_N.csv").read_text().splitlines()) == 5
 
 
 def test_reproduce_table1_builds_one_spatial_operator_per_problem(tmp_path, spatial_builds):
     assert run("reproduce", "table1", "grid.d=10", "grid.N=10", f"output_dir={tmp_path}") == 0
-    # Each problem's baseline and 7-alpha sweep share one space and one eigh.
-    assert spatial_builds == {"assemble_spatial_matrices": 2, "eigh": 2}
+    # Each problem's baseline and 7-alpha sweep share one space and one eigenbasis.
+    assert spatial_builds == {"assemble_spatial_matrices": 2, "eigenbasis": 2}
     assert len((tmp_path / "table1.csv").read_text().splitlines()) == 17
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.integrate import quad
 
 from conftest import nodal, variable_coefficient_problem
 from varda import fem1d, mesh, problems
@@ -32,13 +32,9 @@ def test_element_matrices_match_closed_forms(h):
     assert np.abs(em.stiffness - stiff_exact).max() <= 1e-14
 
 
-def _dense(diag, off):
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def test_line_matrices_agree_with_element_assembly():
     nodes = np.linspace(0.0, 1.0, 7)
-    mass, stiffness = (_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
+    mass, stiffness = (fem1d.tridiag_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
     n = nodes.size
     mass_ref = np.zeros((n, n))
     stiff_ref = np.zeros((n, n))
@@ -52,7 +48,7 @@ def test_line_matrices_agree_with_element_assembly():
 
 def test_line_matrices_on_nonuniform_nodes():
     nodes = np.array([0.0, 0.1, 0.4, 1.0])
-    mass, stiffness = (_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
+    mass, stiffness = (fem1d.tridiag_dense(*bands) for bands in fem1d.assemble_line_matrices(nodes))
     # Constants lie in the stiffness kernel and integrate to the length.
     ones = np.ones(nodes.size)
     assert np.abs(stiffness @ ones).max() <= 1e-14
@@ -76,24 +72,30 @@ def _hat_slope(nodes, i):
     return dphi
 
 
+def _cellwise_gauss(fun, nodes):
+    """Integral of fun over the mesh, Gauss-Legendre 4 on each cell: exact for piecewise cubics."""
+    gp, gw = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(nodes)[:, None]
+    return float(np.sum(half * gw * fun(0.5 * (nodes[1:] + nodes[:-1])[:, None] + half * gp)))
+
+
 def test_spatial_matrices_against_direct_quadrature():
     sm = mesh.build_spatial_mesh(0.0, 1.0, 6)
     a = lambda x: 0.3 + np.zeros_like(np.asarray(x, dtype=float))
     a0 = lambda x: np.asarray(x, dtype=float)
     mats = fem1d.assemble_spatial_matrices(sm, a, a0)
-    breaks = list(sm.nodes[1:-1])
     for i, j in [(0, 0), (2, 2), (2, 3), (3, 2), (6, 6), (1, 4)]:
         phi_i, phi_j = _hat(sm.nodes, i), _hat(sm.nodes, j)
         dphi_i, dphi_j = _hat_slope(sm.nodes, i), _hat_slope(sm.nodes, j)
-        ref_a, _ = quad(lambda x: 0.3 * dphi_i(x) * dphi_j(x), 0.0, 1.0, points=breaks, limit=200)
-        ref_a0, _ = quad(lambda x: x * phi_i(x) * phi_j(x), 0.0, 1.0, points=breaks, limit=200)
+        ref_a = _cellwise_gauss(lambda x: 0.3 * dphi_i(x) * dphi_j(x), sm.nodes)
+        ref_a0 = _cellwise_gauss(lambda x: x * phi_i(x) * phi_j(x), sm.nodes)
         assert mats.K[i, j] == pytest.approx(ref_a + ref_a0, abs=1e-12)
-        ref_m, _ = quad(lambda x: phi_i(x) * phi_j(x), 0.0, 1.0, points=breaks, limit=200)
+        ref_m = _cellwise_gauss(lambda x: phi_i(x) * phi_j(x), sm.nodes)
         assert mats.M[i, j] == pytest.approx(ref_m, abs=1e-12)
     # Constants lie in the diffusion kernel, so K's row sums are the
     # reaction part alone: the integrals of x against each hat.
     for i in range(sm.d + 1):
-        ref, _ = quad(lambda x: x * _hat(sm.nodes, i)(x), 0.0, 1.0, points=breaks, limit=200)
+        ref = _cellwise_gauss(lambda x: x * _hat(sm.nodes, i)(x), sm.nodes)
         assert mats.K[[i], :].sum() == pytest.approx(ref, abs=1e-12)
 
 
@@ -105,7 +107,7 @@ def test_constant_diffusion_scales_the_stiffness():
     mats = fem1d.assemble_spatial_matrices(sm, a, a0)
     _, stiffness = fem1d.assemble_line_matrices(sm.nodes)
     # Zero reaction adds nothing, so K is the scaled stiffness alone.
-    assert np.abs(mats.K.toarray() - nu * _dense(*stiffness)).max() <= 1e-15
+    assert np.abs(mats.K.toarray() - nu * fem1d.tridiag_dense(*stiffness)).max() <= 1e-15
 
 
 def test_spatial_matrices_are_symmetric_and_positive():
@@ -129,8 +131,8 @@ def test_spatial_matrices_are_symmetric_and_positive():
 
 
 def test_stiffness_is_bitwise_symmetric_with_variable_reaction():
-    # la.eigh reads K_I's lower triangle and the banded products its upper
-    # band, so both must hold the same bits.
+    # Checks read K through its sparse view, which must hold the same bits
+    # on both sides of the diagonal, as the bands do.
     spec = variable_coefficient_problem()
     mats = fem1d.assemble_spatial_matrices(mesh.build_spatial_mesh(0.0, 1.0, 40), spec.a, spec.a0)
     dense = mats.K.toarray()
@@ -224,3 +226,74 @@ def test_gather_equals_the_product_and_sum_formula_bitwise(quad_order, d, shape)
     want[..., :-1] += (values * (quad.w * quad.phi[0])).sum(axis=-1)
     want[..., 1:] += (values * (quad.w * quad.phi[1])).sum(axis=-1)
     assert quad.gather(values).tobytes() == want.tobytes()
+
+
+def _spd_lanes(rng, lengths, width):
+    """Random SPD tridiagonal bands, one lane per length, padded after its last row with identity rows."""
+    steps = max(lengths)
+    diag, off = np.ones((steps, len(lengths), width)), np.zeros((steps - 1, len(lengths), width))
+    for k, m in enumerate(lengths):
+        off[: m - 1, k] = rng.uniform(-1.0, 1.0, (m - 1, width))
+        diag[:m, k] = 2.5 + rng.uniform(0.0, 3.0, (m, width))
+    return diag, off
+
+
+def test_ldlt_kernel_matches_lapack_banded_cholesky():
+    # Lanes of 1 to 9 rows side by side; LAPACK sees each column of lanes end
+    # to end, every lane's block starting with a zero coupling.
+    rng = np.random.default_rng(5)
+    lengths = [1, 9, 4, 7, 2]
+    diag, off = _spd_lanes(rng, lengths, 3)
+    rhs = rng.standard_normal(diag.shape)
+    d, l = fem1d.tridiag_factor(diag, off)
+    x = fem1d.tridiag_solve(d, l, rhs.copy())
+    for k, m in enumerate(lengths):
+        for c in range(3):
+            band = np.stack([np.concatenate(([0.0], off[: m - 1, k, c])), diag[:m, k, c]])
+            chol = la.cholesky_banded(band)
+            # U = D^(1/2) L^T: U's diagonal is sqrt(d) and its upper band sqrt(d) l.
+            assert np.allclose(np.sqrt(d[:m, k, c]), chol[1], rtol=1e-14, atol=0.0)
+            upper = np.sqrt(d[: m - 1, k, c]) * l[: m - 1, k, c]
+            assert np.allclose(upper, chol[0, 1:], rtol=1e-14, atol=0.0)
+            want = la.cho_solve_banded((chol, False), rhs[:m, k, c])
+            assert np.linalg.norm(x[:m, k, c] - want) <= 1e-14 * np.linalg.norm(want)
+    # The padding rows are identity rows with zero right-hand sides.
+    rhs_padded = rhs.copy()
+    for k, m in enumerate(lengths):
+        rhs_padded[m:, k] = 0.0
+    padded = fem1d.tridiag_solve(d, l, rhs_padded)
+    for k, m in enumerate(lengths):
+        assert not np.any(padded[m:, k])
+        assert padded[:m, k].tobytes() == x[:m, k].tobytes()
+
+
+@pytest.mark.parametrize("pivot", [0, 3, 5])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+def test_ldlt_kernel_refuses_a_pivot_that_is_not_positive(pivot, value):
+    # Row 'pivot' of one lane gets the diagonal value and no coupling to the
+    # row above, so its pivot is that value.  The factorization must stop
+    # there: a division by it would raise a RuntimeWarning, which fails the test.
+    diag, off = _spd_lanes(np.random.default_rng(pivot), [6, 6], 2)
+    diag[pivot, 1, 0] = value
+    if pivot:
+        off[pivot - 1, 1, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match=f"pivot {pivot} "):
+        fem1d.tridiag_factor(diag, off)
+
+
+@pytest.mark.parametrize("spec", [problems.example2(), variable_coefficient_problem()], ids=["constant", "variable"])
+@pytest.mark.parametrize("d", [2, 3, 40, 200])
+def test_eigenbasis_diagonalizes_the_pencil(spec, d):
+    space = fem1d.assemble_spatial_matrices(mesh.build_spatial_mesh(0.0, 1.0, d), spec.a, spec.a0)
+    lam, V = space.modes
+    m_i, k_i = (fem1d.tridiag_dense(*bands) for bands in space.inner_bands)
+    assert np.all(np.diff(lam) >= 0.0) and lam[0] > 0.0
+    assert np.abs(V.T @ m_i @ V - np.eye(d - 1)).max() <= 1e-13
+    scale = np.abs(k_i).max() * np.abs(V).max()
+    assert np.abs(k_i @ V - m_i @ V * lam).max() <= 1e-13 * scale
+
+
+def test_eigenbasis_refuses_a_mass_that_is_not_positive_definite():
+    m_band = (np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.5]))
+    with pytest.raises(np.linalg.LinAlgError, match="pivot 1 "):
+        fem1d.eigenbasis(m_band, (np.ones(3), np.zeros(2)))
