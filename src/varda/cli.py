@@ -232,19 +232,21 @@ def _prepare_output_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def format_field_csv(field_: mesh.SpaceTimeField) -> str:
-    """Field dump: columns t,x,value, row order time-major."""
-    # The t and x strings are shared by many cells; only values vary per cell.
-    xs = [_fmt(x) for x in field_.smesh.nodes]
-    lines = ["t,x,value"]
-    for t, row in zip(field_.tgrid.taus, field_.values.tolist()):
-        ts = _fmt(t)
-        lines.extend([f"{ts},{x},{v:.17g}" for x, v in zip(xs, row)])
-    return "\n".join(lines) + "\n"
+class FieldCsv:
+    """Field dumps on one tgrid x smesh, columns t,x,value, time-major: the t,x text is built once,
+    and each dump fills its %.17g slots, which format as f"{v:.17g}" does, in one % call."""
 
+    def __init__(self, tgrid: mesh.TimeGrid, smesh: mesh.SpatialMesh) -> None:
+        self.grids = (tgrid.taus.tobytes(), smesh.nodes.tobytes())
+        # "@" stands for the row's t; no number's %.17g text holds one.
+        row = "".join(f"@,{x:.17g},%.17g\n" for x in smesh.nodes.tolist())
+        self.template = "t,x,value\n" + "".join(row.replace("@", f"{t:.17g}") for t in tgrid.taus.tolist())
 
-def _write_field(out: Path, name: str, field_: mesh.SpaceTimeField) -> None:
-    _atomic_write(out / name, format_field_csv(field_))
+    def format(self, field_: mesh.SpaceTimeField) -> str:
+        """field_'s dump; ValueError if its nodes are not, bit for bit, the template's."""
+        if (field_.tgrid.taus.tobytes(), field_.smesh.nodes.tobytes()) != self.grids:
+            raise ValueError("field is not on the time grid and mesh its CSV template was built for")
+        return self.template % tuple(field_.values.ravel().tolist())
 
 
 def _write_mesh_txt(out: Path, smesh: mesh.SpatialMesh) -> None:
@@ -296,10 +298,9 @@ def cmd_assimilate(cfg: RunConfig) -> int:
     space = _build_space(spec, cfg.d, cfg)
     smesh, tgrid = space.smesh, mesh.build_uniform_time_grid(spec.T, cfg.N)
     result = assimilation.assimilate(spec, smesh, tgrid, theta=cfg.theta_scheme, space=space)
-    out = _prepare_output_dir(cfg)
-    _write_field(out, "p.csv", result.p)
-    _write_field(out, "q.csv", result.q)
-    _write_field(out, "y.csv", result.y)
+    out, csv = _prepare_output_dir(cfg), FieldCsv(tgrid, smesh)
+    for name, field_ in (("p.csv", result.p), ("q.csv", result.q), ("y.csv", result.y)):
+        _atomic_write(out / name, csv.format(field_))
     u_lines = ["x,value"] + [
         f"{_fmt(x)},{_fmt(v)}" for x, v in zip(smesh.nodes, result.u)
     ]

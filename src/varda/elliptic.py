@@ -366,7 +366,9 @@ def solve_batch(systems: list[AssembledSystem]) -> list[EllipticSolution]:
     residual contract on its own, or EllipticSolverError is raised.
     Systems on another space or with another alpha raise ValueError.
     """
-    batch, b = _Batch(systems), np.concatenate([system.b for system in systems])
+    # A batch of one reads its system's own b; nothing below writes into b.
+    batch = _Batch(systems)
+    b = systems[0].b if len(systems) == 1 else np.concatenate([system.b for system in systems])
     try:
         solve = batch.factor()
     except np.linalg.LinAlgError as exc:

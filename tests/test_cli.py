@@ -90,17 +90,66 @@ def test_reruns_are_byte_identical(tmp_path):
             assert (out_a / file).read_bytes() == (out_b / file).read_bytes()
 
 
+def per_cell_csv(field_):
+    """The reference field dump, written cell by cell with f-strings."""
+    lines = ["t,x,value"] + [
+        f"{t:.17g},{x:.17g},{field_.values[i, j]:.17g}"
+        for i, t in enumerate(field_.tgrid.taus)
+        for j, x in enumerate(field_.smesh.nodes)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# Signed zero, the subnormal, normal and overflow ends, both sides of %g's
+# switches to exponent form, an integral float and the non-finite values.
+EDGE_VALUES = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 9.9999999999999995e-5,
+    1e16, 1e17, 3.0, np.inf, -np.inf, np.nan,
+]
+
+
 def test_field_csv_matches_the_per_cell_format():
     tgrid = mesh.build_time_grid([0.0, 0.1, 1.0 / 3.0, 0.35, 0.9, 1.0])
     smesh = mesh.build_spatial_mesh(-0.3, 0.7, 7)
     values = np.random.default_rng(5).standard_normal((6, 8)) * 10.0 ** np.arange(-8, 8, 2)
-    field_ = mesh.SpaceTimeField(tgrid, smesh, values)
-    expected = ["t,x,value"] + [
-        f"{t:.17g},{x:.17g},{values[i, j]:.17g}"
-        for i, t in enumerate(tgrid.taus)
-        for j, x in enumerate(smesh.nodes)
-    ]
-    assert cli.format_field_csv(field_) == "\n".join(expected) + "\n"
+    edges = values.copy()
+    edges.ravel()[: 2 * len(EDGE_VALUES)] = EDGE_VALUES + [-v for v in EDGE_VALUES]
+    csv = cli.FieldCsv(tgrid, smesh)
+    for cells in (values, edges):
+        field_ = mesh.SpaceTimeField(tgrid, smesh, cells)
+        assert csv.format(field_) == per_cell_csv(field_)
+
+
+def test_field_csv_refuses_a_field_on_other_grids():
+    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 4), mesh.build_spatial_mesh(0.0, 1.0, 5)
+    csv = cli.FieldCsv(tgrid, smesh)
+    # Same shapes, other nodes: a % fill would not notice.
+    other_t = mesh.build_time_grid([0.0, 0.1, 0.5, 0.75, 1.0])
+    other_x = mesh.build_spatial_mesh(0.0, 2.0, 5)
+    for t, x in ((other_t, smesh), (tgrid, other_x), (mesh.build_uniform_time_grid(1.0, 3), smesh)):
+        with pytest.raises(ValueError, match="not on the time grid and mesh"):
+            csv.format(mesh.SpaceTimeField(t, x, np.zeros((t.N + 1, x.d + 1))))
+    same = mesh.SpaceTimeField(mesh.build_uniform_time_grid(1.0, 4), smesh, np.ones((5, 6)))
+    assert csv.format(same) == per_cell_csv(same)
+
+
+def test_assimilate_fields_equal_the_per_cell_text_of_the_in_process_result(tmp_path, monkeypatch):
+    templates = []
+
+    class CountingFieldCsv(cli.FieldCsv):
+        def __init__(self, *args):
+            templates.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "FieldCsv", CountingFieldCsv)
+    assert run("assimilate", "problem.name=example2", "grid.d=8", "grid.N=6", f"output_dir={tmp_path}") == 0
+    assert len(templates) == 1
+    spec, _ = problems.build("example2")
+    result = assimilation.assimilate(
+        spec, mesh.build_spatial_mesh(*spec.domain, 8), mesh.build_uniform_time_grid(spec.T, 6)
+    )
+    for name, field_ in (("p.csv", result.p), ("q.csv", result.q), ("y.csv", result.y)):
+        assert (tmp_path / name).read_text() == per_cell_csv(field_)
 
 
 def test_config_precedence_file_env_override_flag(tmp_path, monkeypatch):

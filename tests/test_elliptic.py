@@ -413,6 +413,18 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
         assert batched.solver_residual == alone.solver_residual
 
 
+def test_a_solve_leaves_its_systems_load_unchanged():
+    # A batch of one solves with its system's own b, not a copy.
+    sm, tg = mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 10)
+    system = elliptic.assemble(problems.example2(), sm, tg)
+    b = system.b.copy()
+    first = elliptic.solve_sparse(system)
+    assert system.b.tobytes() == b.tobytes()
+    again = elliptic.solve_sparse(system)
+    assert again.p.values.tobytes() == first.p.values.tobytes()
+    assert again.solver_residual == first.solver_residual
+
+
 def test_a_batch_checks_the_residual_contract_per_system():
     # The known-limit grid (1.1e-9 alone) between two easy systems whose loads
     # are 10 and 14 times larger: one residual norm over the whole batch
