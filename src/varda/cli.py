@@ -233,20 +233,167 @@ def _prepare_output_dir(cfg: RunConfig) -> Path:
 
 
 class FieldCsv:
-    """Field dumps on one tgrid x smesh, columns t,x,value, time-major: the t,x text is built once,
-    and each dump fills its %.17g slots, which format as f"{v:.17g}" does, in one % call."""
+    """Field dumps on one tgrid x smesh, columns t,x,value, time-major.
+
+    The t,x text is built once, with a %s slot per cell, in one template per block of time rows
+    (about CHUNK cells).  A dump fills each block's slots in one bytes % call with b"%.17g" % v
+    of its values, which `cells` computes:
+
+    - digits: D in [10^16, 10^17) and the exponent E give round(|v| * 10^(16-E)), half to even.
+      10^k is held as hi + lo and |v| * hi split exactly by Dekker's TwoProduct, so D is the exact
+      product rounded where 10^k is a double (0 <= k <= 22), and elsewhere comes from a product
+      known to within 1e-14.  E moves while D falls outside its range; D = 10^17 carries.
+    - layout: %g's fixed notation for -4 <= E < 17 and d.ddde[+-]XX otherwise, trailing zeros and a
+      bare point stripped, "-" from the sign bit (so -0.0 gives "-0"): each value's text is
+      gathered from a row of its digits and punctuation by one of 2 x 22 x 17 index rows, one per
+      sign, notation and number of significant digits.
+
+    A value keeps the per-value % path when its digits are not proven: it is not finite, lies
+    outside LOW <= |v| < HIGH, or, where 10^k is not a double, lies within 1e-13 of a tie.
+    """
+
+    CHUNK = 8192
+    # The window keeps E in [-99, 98] (99 after a carry), so the exponent has two digits.  10^k
+    # is tabled for k = 16 - E with E within one of that, where log10 puts the first guess.
+    LOW, HIGH = 1e-98, 1e99
+    K_MIN, K_MAX = 16 - 99, 16 + 100
+    SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
+    # A value's source row of 32 bytes, named: "A" and "B".."Q" are its 17 digits, "s", "X" and
+    # "Y" the exponent's sign and digits, "_" the NULs that pad a text to 24 bytes.
+    SOURCE = "A0.-esXYBCDEFGHIJKLMNOPQ_"
 
     def __init__(self, tgrid: mesh.TimeGrid, smesh: mesh.SpatialMesh) -> None:
         self.grids = (tgrid.taus.tobytes(), smesh.nodes.tobytes())
-        # "@" stands for the row's t; no number's %.17g text holds one.
-        row = "".join(f"@,{x:.17g},%.17g\n" for x in smesh.nodes.tolist())
-        self.template = "t,x,value\n" + "".join(row.replace("@", f"{t:.17g}") for t in tgrid.taus.tolist())
+        # "@" stands for the row's t; no number's %.17g text holds one, nor a "%".  A block's
+        # small objects and index arrays live while it is filled only, so a dump's peak memory
+        # is about twice its text: the filled blocks and their join, then those bytes and the str.
+        row = "".join(f"@,{x:.17g},%s\n" for x in smesh.nodes.tolist())
+        taus = tgrid.taus.tolist()
+        self.block = max(1, self.CHUNK // len(smesh.nodes))  # time rows per template
+        self.templates = [
+            "".join(row.replace("@", f"{t:.17g}") for t in taus[i : i + self.block]).encode("ascii")
+            for i in range(0, len(taus), self.block)
+        ]
+        self.templates[0] = b"t,x,value\n" + self.templates[0]
+        hi, lo = [], []
+        for k in range(self.K_MIN, self.K_MAX + 1):
+            num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+            hi.append(num / den)  # int / int rounds correctly
+            h_num, h_den = hi[-1].as_integer_ratio()
+            lo.append((num * h_den - h_num * den) / (den * h_den))
+        self.pow10 = np.array([hi, *self._split(np.array(hi)), lo])
+        # Bytes 0-7 of a source row by E, the first digit left out.
+        self.word0 = np.array(
+            [int.from_bytes(b"\x000.-e" + b"%+03d" % e, "little") for e in range(-99, 100)], dtype=np.uint64
+        )
+        # Row (sign * 22 + form) * 17 + n - 1 names the source bytes of the text with n significant
+        # digits in notation `form`: E + 4 for fixed notation, 21 for d.ddde[+-]XX.
+        digits, layouts = self.SOURCE[0] + self.SOURCE[8:24], []
+        for sign in ("", "-"):
+            for form in range(22):
+                for n in range(1, 18):
+                    if form == 21:
+                        body = digits[0] + ("." + digits[1:n] if n > 1 else "") + "esXY"
+                    elif form < 4:
+                        body = "0." + "0" * (3 - form) + digits[:n]
+                    else:
+                        point = form - 3  # E + 1 digits before it
+                        body = digits[:point] + ("." + digits[point:n] if n > point else "")
+                    layouts.append((sign + body).ljust(24, "_"))
+        names = bytes.maketrans(self.SOURCE.encode(), bytes(range(len(self.SOURCE))))
+        layouts = np.frombuffer("".join(layouts).encode().translate(names), np.uint8)
+        self.layouts = layouts.reshape(-1, 24).astype(np.intp)
+
+    @classmethod
+    def _split(cls, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = cls.SPLIT * a
+        high = c - (c - a)
+        return high, a - high
+
+    def _scaled(self, a: np.ndarray, e10: np.ndarray):
+        """round(a * 10^(16 - e10)) half to even, the fraction rounded off, and whether the
+        product lies below 1e16, so that e10 is too large."""
+        hi, hi_high, hi_low, lo = np.take(self.pow10, 16 - self.K_MIN - e10, axis=1)
+        p = a * hi
+        a_high, a_low = self._split(a)
+        r = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
+        # p >= 1e16 > 2^53 is an even integer, so rint's tie to even is the product's.
+        n = np.rint(r)
+        below = (p < 1e16) | ((p == 1e16) & (r < 0.0))
+        return p.astype(np.int64) + n.astype(np.int64), r - n, below
+
+    @staticmethod
+    def _digit_bytes(x: np.ndarray) -> np.ndarray:
+        """The 8 decimal digits of each x < 10^8, one per byte, the first in the lowest byte."""
+        high = x // 10000
+        x = high | ((x - high * 10000) << 32)
+        q = ((x * 5243) >> 19) & 0x0000007F0000007F  # x // 100 in each 32-bit lane
+        x = q | ((x - q * 100) << 16)
+        q = ((x * 103) >> 10) & 0x000F000F000F000F  # x // 10 in each 16-bit lane
+        return q | ((x - q * 10) << 8)
+
+    def cells(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(text, slow) for a 1-d float64 array: text[i] holds b"%.17g" % values[i], left-aligned
+        in 24 NUL-padded bytes, wherever slow[i] is False."""
+        a = np.abs(values)
+        zero = a == 0.0
+        slow = ~((a >= self.LOW) & (a < self.HIGH) | zero)
+        a[slow | zero] = 1.0  # stands in; a zero's digits are set below
+        e10 = np.floor(np.log10(a)).astype(np.int64)
+        D, frac, below = self._scaled(a, e10)
+        while True:  # log10 may be one off near a power of ten
+            step = (D > 10**17).astype(np.int64) - below
+            redo = np.flatnonzero(step)
+            if not redo.size:
+                break
+            e10[redo] += step[redo]
+            D[redo], frac[redo], below[redo] = self._scaled(a[redo], e10[redo])
+        inexact = (e10 < -6) | (e10 > 16)  # 10^(16 - E) is a double for E in [-6, 16]
+        slow |= inexact & (np.abs(np.abs(frac) - 0.5) < 1e-13)
+        carry = D == 10**17
+        D[carry] = 10**16
+        e10[carry] += 1
+        D[zero] = 0
+        e10[zero] = 0
+        D = D.view(np.uint64)
+        top = D // 10**8
+        first = top // 10**8
+        w1 = self._digit_bytes(top - first * 10**8)
+        w2 = self._digit_bytes(D - top * 10**8)
+        # n = 1 + the index of the last nonzero digit; bit b of `nonzero` marks byte b of `last`.
+        last = np.where(w2 != 0, w2, w1)
+        last |= (last >> 1) | (last >> 2) | (last >> 3)
+        nonzero = ((last & 0x0101010101010101) * 0x0102040810204080) >> 56
+        n = np.where(w2 != 0, 9, 1) + np.frexp(nonzero.astype(np.float64))[1]
+        form = np.where((e10 >= -4) & (e10 < 17), e10 + 4, 21)
+        key = (np.signbit(values) * 22 + form) * 17 + n - 1
+        rows = np.empty((values.size, 4), np.uint64)
+        rows[:, 0] = np.take(self.word0, e10 + 99) | (first + 48)
+        rows[:, 1] = w1 + 0x3030303030303030
+        rows[:, 2] = w2 + 0x3030303030303030
+        rows[:, 3] = 0
+        index = np.take(self.layouts, key, axis=0)
+        index += np.arange(0, 32 * values.size, 32)[:, None]
+        return np.take(rows.view(np.uint8).ravel(), index), slow
+
+    def _fill(self, template: bytes, values: np.ndarray) -> bytes:
+        """One block's template filled: the kernel's text, and % for the values it leaves."""
+        text, slow = self.cells(values)
+        cells = text.view("S24").ravel().tolist()
+        for i in np.flatnonzero(slow).tolist():
+            cells[i] = b"%.17g" % float(values[i])
+        return template % tuple(cells)
 
     def format(self, field_: mesh.SpaceTimeField) -> str:
         """field_'s dump; ValueError if its nodes are not, bit for bit, the template's."""
         if (field_.tgrid.taus.tobytes(), field_.smesh.nodes.tobytes()) != self.grids:
             raise ValueError("field is not on the time grid and mesh its CSV template was built for")
-        return self.template % tuple(field_.values.ravel().tolist())
+        values, block = field_.values, self.block
+        filled = b"".join(
+            self._fill(template, values[i * block : (i + 1) * block].ravel())
+            for i, template in enumerate(self.templates)
+        )
+        return filled.decode("ascii")
 
 
 def _write_mesh_txt(out: Path, smesh: mesh.SpatialMesh) -> None:

@@ -101,10 +101,12 @@ def per_cell_csv(field_):
 
 
 # Signed zero, the subnormal, normal and overflow ends, both sides of %g's
-# switches to exponent form, an integral float and the non-finite values.
+# switches to exponent form, an integral float, the non-finite values, a tie
+# decided half to even (...0.125 gives ...0.12) and a carry to the next power of
+# ten (1e-14 is 9.99999999999999998819e-15).
 EDGE_VALUES = [
     -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 9.9999999999999995e-5,
-    1e16, 1e17, 3.0, np.inf, -np.inf, np.nan,
+    1e16, 1e17, 3.0, np.inf, -np.inf, np.nan, 1e-4, 1e14 + 0.125, 1e-14,
 ]
 
 
@@ -118,6 +120,65 @@ def test_field_csv_matches_the_per_cell_format():
     for cells in (values, edges):
         field_ = mesh.SpaceTimeField(tgrid, smesh, cells)
         assert csv.format(field_) == per_cell_csv(field_)
+
+
+def percent_g17(values):
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def test_field_csv_cells_equal_percent_on_random_bit_patterns():
+    csv = cli.FieldCsv(mesh.build_uniform_time_grid(1.0, 1), mesh.build_spatial_mesh(0.0, 1.0, 2))
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
+    # Half keep every exponent; half get one that spans the kernel's window.
+    exponents = rng.integers(1023 - 330, 1023 + 333, size=10000).astype(np.uint64)
+    bits[10000:] = bits[10000:] & np.uint64(0x800FFFFFFFFFFFFF) | exponents << np.uint64(52)
+    values = bits.view(np.float64)
+    text, slow = csv.cells(values)
+    outside = ~((np.abs(values) >= csv.LOW) & (np.abs(values) < csv.HIGH)) & (values != 0.0)
+    assert np.array_equal(slow, outside) and 5000 < np.count_nonzero(~slow) < 15000
+    got = text.view("S24").ravel().tolist()
+    assert [g for g, s in zip(got, slow) if not s] == [e for e, s in zip(percent_g17(values), slow) if not s]
+
+
+def test_field_csv_cells_on_the_switches_ties_carries_and_window_ends():
+    csv = cli.FieldCsv(mesh.build_uniform_time_grid(1.0, 1), mesh.build_spatial_mesh(0.0, 1.0, 2))
+    sides = lambda v: [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+    fast = [
+        0.0, -0.0, 3.0, 0.5, 1234.5, 100.0,
+        *sides(9.9999999999999995e-5), *sides(1e-4), *sides(1e16), *sides(1e17),
+        # 17 digits that carry to the next power of ten; 10^k is not a double for any of them.
+        1e-14, 1e-70, 1e98,
+        # Exact ties with 10^k a double, decided half to even: 100000000000000.12 and ...62.
+        1e14 + 0.125, 1e14 + 0.375, 1e14 + 0.625, 1e14 + 0.875, 1.0 + 2.0**-17,
+        csv.LOW, np.nextafter(csv.HIGH, 0.0),
+    ]
+    slow = [
+        np.nextafter(csv.LOW, 0.0), csv.HIGH, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        np.inf, np.nan,
+        3.0 * 2.0**-24,  # 1.78813934326171875e-07: a tie, and 10^23 is not a double
+    ]
+    values = np.array(fast + slow)
+    values = np.concatenate([values, -values])
+    text, on_slow_path = csv.cells(values)
+    expected = np.tile(np.arange(len(fast) + len(slow)) >= len(fast), 2)
+    assert np.array_equal(on_slow_path, expected)
+    got = text.view("S24").ravel().tolist()
+    assert [g for g, s in zip(got, expected) if not s] == [e for e, s in zip(percent_g17(values), expected) if not s]
+    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 3), mesh.build_spatial_mesh(0.0, 1.0, values.size // 4 - 1)
+    field_ = mesh.SpaceTimeField(tgrid, smesh, values.reshape(4, -1))
+    assert cli.FieldCsv(tgrid, smesh).format(field_) == per_cell_csv(field_)
+
+
+def test_field_csv_blocks_join_to_the_per_cell_text(monkeypatch):
+    monkeypatch.setattr(cli.FieldCsv, "CHUNK", 16)  # two time rows of 8 cells per block
+    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 6), mesh.build_spatial_mesh(0.0, 1.0, 7)
+    values = np.random.default_rng(7).standard_normal((7, 8))
+    values[3, 2], values[6, 7] = np.nan, 1e300  # the per-value path inside later blocks
+    csv = cli.FieldCsv(tgrid, smesh)
+    assert len(csv.templates) == 4
+    field_ = mesh.SpaceTimeField(tgrid, smesh, values)
+    assert csv.format(field_) == per_cell_csv(field_)
 
 
 def test_field_csv_refuses_a_field_on_other_grids():
