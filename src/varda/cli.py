@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -220,9 +221,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str | Iterable[bytes]) -> None:
+    """Write text, or the bytes blocks an iterable yields, to a temp file, then rename it to path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "wb") as file:
+        file.writelines([text.encode()] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -233,11 +236,11 @@ def _prepare_output_dir(cfg: RunConfig) -> Path:
 
 
 class FieldCsv:
-    """Field dumps on one tgrid x smesh, columns t,x,value, time-major.
+    """Field dumps, columns t,x,value, time-major, in blocks of whole time rows of about CHUNK cells.
 
-    The t,x text is built once, with a %s slot per cell, in one template per block of time rows
-    (about CHUNK cells).  A dump fills each block's slots in one bytes % call with b"%.17g" % v
-    of its values, which `cells` computes:
+    A block is a table of 75 bytes per cell: t at bytes 0-23, x at 25-48 and the value at 50-73,
+    each the text b"%.17g" % v NUL-padded to 24 bytes, commas at 24 and 49 and a newline at 74.
+    Its bytes are the table's without the NULs.  `cells` computes the text:
 
     - digits: D in [10^16, 10^17) and the exponent E give round(|v| * 10^(16-E)), half to even.
       10^k is held as hi + lo and |v| * hi split exactly by Dekker's TwoProduct, so D is the exact
@@ -250,6 +253,7 @@ class FieldCsv:
 
     A value keeps the per-value % path when its digits are not proven: it is not finite, lies
     outside LOW <= |v| < HIGH, or, where 10^k is not a double, lies within 1e-13 of a tie.
+    % writes into the same 24 bytes: no %.17g text is longer than a sign, 17 digits, "." and e-XXX.
     """
 
     CHUNK = 8192
@@ -262,19 +266,7 @@ class FieldCsv:
     # "Y" the exponent's sign and digits, "_" the NULs that pad a text to 24 bytes.
     SOURCE = "A0.-esXYBCDEFGHIJKLMNOPQ_"
 
-    def __init__(self, tgrid: mesh.TimeGrid, smesh: mesh.SpatialMesh) -> None:
-        self.grids = (tgrid.taus.tobytes(), smesh.nodes.tobytes())
-        # "@" stands for the row's t; no number's %.17g text holds one, nor a "%".  A block's
-        # small objects and index arrays live while it is filled only, so a dump's peak memory
-        # is about twice its text: the filled blocks and their join, then those bytes and the str.
-        row = "".join(f"@,{x:.17g},%s\n" for x in smesh.nodes.tolist())
-        taus = tgrid.taus.tolist()
-        self.block = max(1, self.CHUNK // len(smesh.nodes))  # time rows per template
-        self.templates = [
-            "".join(row.replace("@", f"{t:.17g}") for t in taus[i : i + self.block]).encode("ascii")
-            for i in range(0, len(taus), self.block)
-        ]
-        self.templates[0] = b"t,x,value\n" + self.templates[0]
+    def __init__(self) -> None:
         hi, lo = [], []
         for k in range(self.K_MIN, self.K_MAX + 1):
             num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -376,24 +368,26 @@ class FieldCsv:
         index += np.arange(0, 32 * values.size, 32)[:, None]
         return np.take(rows.view(np.uint8).ravel(), index), slow
 
-    def _fill(self, template: bytes, values: np.ndarray) -> bytes:
-        """One block's template filled: the kernel's text, and % for the values it leaves."""
+    def _text(self, values: np.ndarray) -> np.ndarray:
+        """`cells`' text, with b"%.17g" % v in place for each value v that it leaves."""
         text, slow = self.cells(values)
-        cells = text.view("S24").ravel().tolist()
         for i in np.flatnonzero(slow).tolist():
-            cells[i] = b"%.17g" % float(values[i])
-        return template % tuple(cells)
+            text.view("S24")[i] = b"%.17g" % float(values[i])  # NUL-padded to 24 bytes
+        return text
 
-    def format(self, field_: mesh.SpaceTimeField) -> str:
-        """field_'s dump; ValueError if its nodes are not, bit for bit, the template's."""
-        if (field_.tgrid.taus.tobytes(), field_.smesh.nodes.tobytes()) != self.grids:
-            raise ValueError("field is not on the time grid and mesh its CSV template was built for")
-        values, block = field_.values, self.block
-        filled = b"".join(
-            self._fill(template, values[i * block : (i + 1) * block].ravel())
-            for i, template in enumerate(self.templates)
-        )
-        return filled.decode("ascii")
+    def format(self, field_: mesh.SpaceTimeField) -> Iterator[bytes]:
+        """field_'s dump: the header, then its blocks."""
+        yield b"t,x,value\n"
+        taus, values = field_.tgrid.taus, field_.values
+        block = max(1, self.CHUNK // values.shape[1])  # time rows per block
+        table = np.empty((min(block, len(taus)), values.shape[1], 75), np.uint8)
+        table[..., 25:49] = self._text(field_.smesh.nodes)  # x and the separators: once per dump
+        table[..., [24, 49, 74]] = np.frombuffer(b",,\n", np.uint8)
+        for i in range(0, len(taus), block):
+            rows = table[: len(taus[i : i + block])]
+            rows[..., :24] = self._text(taus[i : i + block])[:, None]
+            rows[..., 50:74] = self._text(values[i : i + block].ravel()).reshape(len(rows), -1, 24)
+            yield rows[rows != 0].tobytes()
 
 
 def _write_mesh_txt(out: Path, smesh: mesh.SpatialMesh) -> None:
@@ -445,12 +439,10 @@ def cmd_assimilate(cfg: RunConfig) -> int:
     space = _build_space(spec, cfg.d, cfg)
     smesh, tgrid = space.smesh, mesh.build_uniform_time_grid(spec.T, cfg.N)
     result = assimilation.assimilate(spec, smesh, tgrid, theta=cfg.theta_scheme, space=space)
-    out, csv = _prepare_output_dir(cfg), FieldCsv(tgrid, smesh)
+    out, csv = _prepare_output_dir(cfg), FieldCsv()
     for name, field_ in (("p.csv", result.p), ("q.csv", result.q), ("y.csv", result.y)):
         _atomic_write(out / name, csv.format(field_))
-    u_lines = ["x,value"] + [
-        f"{_fmt(x)},{_fmt(v)}" for x, v in zip(smesh.nodes, result.u)
-    ]
+    u_lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(smesh.nodes, result.u)]
     _atomic_write(out / "u.csv", "\n".join(u_lines) + "\n")
     _write_grid_txt(out, "grid.txt", tgrid)
     _write_mesh_txt(out, smesh)

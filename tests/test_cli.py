@@ -100,6 +100,11 @@ def per_cell_csv(field_):
     return "\n".join(lines) + "\n"
 
 
+def dump(field_):
+    """field_'s FieldCsv blocks joined into one text."""
+    return b"".join(cli.FieldCsv().format(field_)).decode("ascii")
+
+
 # Signed zero, the subnormal, normal and overflow ends, both sides of %g's
 # switches to exponent form, an integral float, the non-finite values, a tie
 # decided half to even (...0.125 gives ...0.12) and a carry to the next power of
@@ -116,10 +121,9 @@ def test_field_csv_matches_the_per_cell_format():
     values = np.random.default_rng(5).standard_normal((6, 8)) * 10.0 ** np.arange(-8, 8, 2)
     edges = values.copy()
     edges.ravel()[: 2 * len(EDGE_VALUES)] = EDGE_VALUES + [-v for v in EDGE_VALUES]
-    csv = cli.FieldCsv(tgrid, smesh)
     for cells in (values, edges):
         field_ = mesh.SpaceTimeField(tgrid, smesh, cells)
-        assert csv.format(field_) == per_cell_csv(field_)
+        assert dump(field_) == per_cell_csv(field_)
 
 
 def percent_g17(values):
@@ -127,7 +131,7 @@ def percent_g17(values):
 
 
 def test_field_csv_cells_equal_percent_on_random_bit_patterns():
-    csv = cli.FieldCsv(mesh.build_uniform_time_grid(1.0, 1), mesh.build_spatial_mesh(0.0, 1.0, 2))
+    csv = cli.FieldCsv()
     rng = np.random.default_rng(18)
     bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
     # Half keep every exponent; half get one that spans the kernel's window.
@@ -142,7 +146,7 @@ def test_field_csv_cells_equal_percent_on_random_bit_patterns():
 
 
 def test_field_csv_cells_on_the_switches_ties_carries_and_window_ends():
-    csv = cli.FieldCsv(mesh.build_uniform_time_grid(1.0, 1), mesh.build_spatial_mesh(0.0, 1.0, 2))
+    csv = cli.FieldCsv()
     sides = lambda v: [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
     fast = [
         0.0, -0.0, 3.0, 0.5, 1234.5, 100.0,
@@ -167,7 +171,7 @@ def test_field_csv_cells_on_the_switches_ties_carries_and_window_ends():
     assert [g for g, s in zip(got, expected) if not s] == [e for e, s in zip(percent_g17(values), expected) if not s]
     tgrid, smesh = mesh.build_uniform_time_grid(1.0, 3), mesh.build_spatial_mesh(0.0, 1.0, values.size // 4 - 1)
     field_ = mesh.SpaceTimeField(tgrid, smesh, values.reshape(4, -1))
-    assert cli.FieldCsv(tgrid, smesh).format(field_) == per_cell_csv(field_)
+    assert dump(field_) == per_cell_csv(field_)
 
 
 def test_field_csv_blocks_join_to_the_per_cell_text(monkeypatch):
@@ -175,36 +179,47 @@ def test_field_csv_blocks_join_to_the_per_cell_text(monkeypatch):
     tgrid, smesh = mesh.build_uniform_time_grid(1.0, 6), mesh.build_spatial_mesh(0.0, 1.0, 7)
     values = np.random.default_rng(7).standard_normal((7, 8))
     values[3, 2], values[6, 7] = np.nan, 1e300  # the per-value path inside later blocks
-    csv = cli.FieldCsv(tgrid, smesh)
-    assert len(csv.templates) == 4
     field_ = mesh.SpaceTimeField(tgrid, smesh, values)
-    assert csv.format(field_) == per_cell_csv(field_)
+    # The header, then blocks of two time rows.
+    assert [len(b.splitlines()) for b in cli.FieldCsv().format(field_)] == [1, 16, 16, 16, 8]
+    assert dump(field_) == per_cell_csv(field_)
 
 
-def test_field_csv_refuses_a_field_on_other_grids():
-    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 4), mesh.build_spatial_mesh(0.0, 1.0, 5)
-    csv = cli.FieldCsv(tgrid, smesh)
-    # Same shapes, other nodes: a % fill would not notice.
-    other_t = mesh.build_time_grid([0.0, 0.1, 0.5, 0.75, 1.0])
-    other_x = mesh.build_spatial_mesh(0.0, 2.0, 5)
-    for t, x in ((other_t, smesh), (tgrid, other_x), (mesh.build_uniform_time_grid(1.0, 3), smesh)):
-        with pytest.raises(ValueError, match="not on the time grid and mesh"):
-            csv.format(mesh.SpaceTimeField(t, x, np.zeros((t.N + 1, x.d + 1))))
-    same = mesh.SpaceTimeField(mesh.build_uniform_time_grid(1.0, 4), smesh, np.ones((5, 6)))
-    assert csv.format(same) == per_cell_csv(same)
+def test_field_csv_blocks_hold_one_time_row_when_chunk_is_smaller(monkeypatch):
+    monkeypatch.setattr(cli.FieldCsv, "CHUNK", 4)  # half of one time row of 8 cells
+    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 6), mesh.build_spatial_mesh(0.0, 1.0, 7)
+    values = np.random.default_rng(9).standard_normal((7, 8))
+    values[2, 5] = -np.inf
+    field_ = mesh.SpaceTimeField(tgrid, smesh, values)
+    assert [len(b.splitlines()) for b in cli.FieldCsv().format(field_)] == [1] + [8] * 7
+    assert dump(field_) == per_cell_csv(field_)
 
 
-def test_assimilate_fields_equal_the_per_cell_text_of_the_in_process_result(tmp_path, monkeypatch):
-    templates = []
+def test_field_csv_writes_t_and_x_outside_the_kernel_window_with_percent():
+    # Every tau but 0 at or above HIGH; every node but 0 below LOW.
+    tgrid, smesh = mesh.build_uniform_time_grid(1e100, 3), mesh.build_spatial_mesh(0.0, 1e-100, 4)
+    assert np.all(tgrid.taus[1:] >= cli.FieldCsv.HIGH) and np.all(smesh.nodes[1:] < cli.FieldCsv.LOW)
+    values = np.random.default_rng(11).standard_normal((4, 5))
+    field_ = mesh.SpaceTimeField(tgrid, smesh, values)
+    assert dump(field_) == per_cell_csv(field_)
 
-    class CountingFieldCsv(cli.FieldCsv):
-        def __init__(self, *args):
-            templates.append(args)
-            super().__init__(*args)
 
-    monkeypatch.setattr(cli, "FieldCsv", CountingFieldCsv)
+def test_field_csv_percent_text_fills_the_whole_slot(monkeypatch):
+    cells = cli.FieldCsv.cells
+
+    def cells_with_full_slow_slots(self, values):
+        text, slow = cells(self, values)
+        text[slow] = ord("9")  # what the kernel leaves where it gives up must not show
+        return text, slow
+
+    monkeypatch.setattr(cli.FieldCsv, "cells", cells_with_full_slow_slots)
+    tgrid, smesh = mesh.build_uniform_time_grid(1.0, 2), mesh.build_spatial_mesh(0.0, 1e-100, 3)
+    field_ = mesh.SpaceTimeField(tgrid, smesh, np.array([[np.nan, 1e300, -np.inf, 0.5]] * 3))
+    assert dump(field_) == per_cell_csv(field_)
+
+
+def test_assimilate_fields_equal_the_per_cell_text_of_the_in_process_result(tmp_path):
     assert run("assimilate", "problem.name=example2", "grid.d=8", "grid.N=6", f"output_dir={tmp_path}") == 0
-    assert len(templates) == 1
     spec, _ = problems.build("example2")
     result = assimilation.assimilate(
         spec, mesh.build_spatial_mesh(*spec.domain, 8), mesh.build_uniform_time_grid(spec.T, 6)
