@@ -222,11 +222,15 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: Path, text: str | Iterable[bytes]) -> None:
-    """Write text, or the bytes blocks an iterable yields, to a temp file, then rename it to path."""
+    """Write text, or an iterable's bytes blocks, to a temp file, then rename it to path; on error remove it."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as file:
-        file.writelines([text.encode()] if isinstance(text, str) else text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as file:
+            file.writelines([text.encode()] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _prepare_output_dir(cfg: RunConfig) -> Path:

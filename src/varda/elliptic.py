@@ -33,12 +33,12 @@ alpha, and the fem1d.SpatialOperatorMatrices that holds the bands of M_I,
 K_I and their eigenbasis: the space, built once per run and shared by every
 solve, replay and oracle on its mesh.  No sparse matrix is built on the way
 to a solution; A is built only when read.  The solver never forms A: its
-residuals use vec(T_M X M_I + T_K X K_I), X the time-major reshape of x,
-T_M X and T_K X taken block by block from the bands, and since A
-is a sum of two Kronecker products the tensor-product direct method of
-Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies exactly.  One
-generalized eigenproblem K_I V = M_I V diag(lam) with V^T M_I V = I turns
-both spatial factors diagonal, so the system splits
+residuals use vec(T_M X M_I + T_K X K_I), with X's p rows and q rows on
+lanes side by side (see _Batch) and T_M X, T_K X taken lane by lane from the
+time bands.  Since A is a sum of two Kronecker products, the tensor-product
+direct method of Lynch, Rice & Thomas (Numer. Math. 6, 1964) applies
+exactly.  One generalized eigenproblem K_I V = M_I V diag(lam) with
+V^T M_I V = I turns both spatial factors diagonal, so the system splits
 into one time problem T_M + lam T_K per spatial mode.  In mode k, the q rows
 read Mt q = b_q + lam Mt_:N p, so q = Mt^-1 b_q + lam [p; 0].  Substituting
 it into the p rows leaves
@@ -147,8 +147,9 @@ class AssembledSystem:
     dofmap: DofMap
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A: the batch of this one system (see solve_batch)."""
-        return _Batch([self]).apply(x)
+        """A @ x without forming A: the batch of this one system, on its lanes (see _Batch.apply)."""
+        batch = _Batch([self])
+        return batch.vector(batch.apply(batch.lanes([x])))[0]
 
     @cached_property
     def A(self) -> sp.csr_array:
@@ -263,95 +264,86 @@ def assemble_batch(
 
 
 class _Batch:
-    """The time bands of systems on one space and alpha, end to end and side by side; see solve_batch.
+    """The time bands of S systems on one space and alpha, side by side, and the lanes they act on.
 
-    X is the time-major reshape of the stacked free values: each system's N
-    rows of p, then its N + 1 rows of q.  apply runs on the bands end to end
-    and factor on the same bands side by side, one column per system.
+    side holds one column per system: the diagonal and upper bands kd, ko of
+    T_M's p block Kt_NN + (1/alpha) e0 e0^T, zero after its N rows, and md,
+    mo of Mt, identity rows after its N + 1; an off band's slot i couples
+    rows i and i + 1.  Lanes, shape (steps, 2S, n), hold system s's N rows
+    of p in lane s and its N + 1 rows of q in lane S + s, each zero after its
+    last row; apply's p lanes hold garbage there, which nothing reads.
     """
 
     def __init__(self, systems: list[AssembledSystem]) -> None:
         self.space, alpha = systems[0].space, systems[0].alpha
         if any(s.space is not self.space or s.alpha != alpha for s in systems):
             raise ValueError("a batch needs systems on one space and with one alpha")
-        Ns, self.n = [s.dofmap.tgrid.N for s in systems], self.space.smesh.d - 1
-        # Per system: its first row of X, N, and its first p and first q row among all p and all q rows.
-        self.blocks = list(zip(np.cumsum([0] + [2 * N + 1 for N in Ns]).tolist(), Ns,
-                               np.cumsum([0] + Ns).tolist(), np.cumsum([0] + [N + 1 for N in Ns]).tolist()))
-        self.p = np.concatenate([np.arange(o, o + N) for o, N, _, _ in self.blocks])
-        self.q = np.concatenate([np.arange(o + N, o + 2 * N + 1) for o, N, _, _ in self.blocks])
-        # The time node of each p row among the q rows.
-        self.qp = np.concatenate([np.arange(qo, qo + N) for _, N, _, qo in self.blocks])
-        self.p0, self.q0 = (np.array(first) for first in list(zip(*self.blocks))[2:])
-        # Diagonal and upper band of Mt, and of T_M's p block Kt_NN + (1/alpha) e0 e0^T.
-        self.md = np.concatenate([s.mt[0] for s in systems])
-        self.mo = np.concatenate([np.concatenate(([0.0], s.mt[1])) for s in systems])
-        self.kd = np.concatenate([np.concatenate(([s.kt[0][0] + 1.0 / alpha], s.kt[0][1:N]))
-                                  for s, N in zip(systems, Ns)])
-        self.ko = np.concatenate([np.concatenate(([0.0], s.kt[1][: N - 1])) for s, N in zip(systems, Ns)])
-        # The same bands side by side, one column per system, an off band's slot i coupling rows
-        # i and i + 1: kd, ko of the p block, zero after its N rows, and md, mo of Mt, identity
-        # rows after its N + 1.  factor masks the p lanes to N rows, which cuts Mt to Mt_NN.
-        steps = max(Ns) + 1
-        self.side = np.zeros((4, steps, len(Ns)))  # kd, ko, md, mo
+        self.Ns, self.n = [s.dofmap.tgrid.N for s in systems], self.space.smesh.d - 1
+        self.S = len(systems)
+        self.side = np.zeros((4, max(self.Ns) + 1, self.S))  # kd, ko, md, mo
         self.side[2] = 1.0
-        for (_, N, po, qo), kd, ko, md, mo in zip(self.blocks, *self.side.transpose(0, 2, 1)):
-            kd[:N], ko[: N - 1] = self.kd[po : po + N], self.ko[po + 1 : po + N]
-            md[: N + 1], mo[:N] = self.md[qo : qo + N + 1], self.mo[qo + 1 : qo + N + 1]
-        self.p_rows = np.arange(steps)[:, None] < np.array(Ns)
+        for s, N, kd, ko, md, mo in zip(systems, self.Ns, *self.side.transpose(0, 2, 1)):
+            kd[0], kd[1:N], ko[: N - 1] = s.kt[0][0] + 1.0 / alpha, s.kt[0][1:N], s.kt[1][: N - 1]
+            md[: N + 1], mo[:N] = s.mt
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for every system at once: T_M X and T_K X from the bands, then M_I and K_I."""
-        X = x.reshape(-1, self.n)
-        x_p, x_q = X[self.p], X[self.q]
-        mt_q = fem1d.tridiag_dot(self.md, self.mo[1:], x_q)
-        padded = np.zeros_like(x_q)
-        padded[self.qp] = x_p
-        mt_p = fem1d.tridiag_dot(self.md, self.mo[1:], padded)
-        tm_x, tk_x = np.empty_like(X), np.empty_like(X)
-        tm_x[self.p], tm_x[self.q] = fem1d.tridiag_dot(self.kd, self.ko[1:], x_p), mt_q
-        tk_x[self.p], tk_x[self.q] = mt_q[self.qp], -mt_p
+    def lanes(self, xs: list[np.ndarray]) -> np.ndarray:
+        """The systems' free-value vectors, one per system in order, put on the lanes."""
+        L = np.zeros((len(self.side[0]), 2 * self.S, self.n))
+        for s, (N, x) in enumerate(zip(self.Ns, xs)):
+            L[:N, s], L[: N + 1, self.S + s] = np.split(x.reshape(-1, self.n), [N])
+        return L
+
+    def vector(self, L: np.ndarray) -> list[np.ndarray]:
+        """Each system's free-value vector, in DofMap order, taken back off the lanes."""
+        return [np.concatenate([L[:N, s], L[: N + 1, self.S + s]]).ravel() for s, N in enumerate(self.Ns)]
+
+    def apply(self, L: np.ndarray) -> np.ndarray:
+        """A @ x on the lanes, every system at once: T_M X and T_K X from the side bands, then M_I and K_I."""
+        S, (kd, ko, md, mo) = self.S, self.side
+        P, Q = L[:, :S], L[:, S:]
+        mt_q = fem1d.tridiag_dot(md, mo[:-1], Q)
+        tm = np.concatenate([fem1d.tridiag_dot(kd, ko[:-1], P), mt_q], axis=1)
+        # P is zero after its N rows, so Mt P is Mt_:N p.
+        tk = np.concatenate([mt_q, -fem1d.tridiag_dot(md, mo[:-1], P)], axis=1)
         # Sum each first p row in column order, e0 first, like every other row, so that
         # each row rounds as a row-by-row sparse product of T_M and T_K would.
-        p0, q0 = self.p0, self.q0
-        tk_x[self.p[p0]] = x_p[p0] + self.md[q0, None] * x_q[q0] + self.mo[q0 + 1, None] * x_q[q0 + 1]
+        tk[0, :S] = P[0] + md[0, :, None] * Q[0] + mo[0, :, None] * Q[1]
         m_i, k_i = self.space.inner_bands
-        return (fem1d.tridiag_dot(*m_i, tm_x.T) + fem1d.tridiag_dot(*k_i, tk_x.T)).T.ravel()
+        return (fem1d.tridiag_dot(*m_i, tm.T) + fem1d.tridiag_dot(*k_i, tk.T)).T
 
     def factor(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Fast-diagonalization factors of the batch's operator, as a solve for A x = r.
+        """Fast-diagonalization factors of the batch's operator, as a solve for A x = r on the lanes.
 
-        See the module docstring for the per-mode reduction.  Lane (s, k) holds
-        system s's mode-k matrix and lane (S + s, k) its time mass, for the
-        q rows' column k; a lane shorter than the longest is padded after its
-        last row with identity rows.  Raises LinAlgError when a factorization
-        meets a matrix that is not positive definite.
+        See the module docstring for the per-mode reduction.  Lane (s, k)
+        holds system s's mode-k matrix and lane (S + s, k) its time mass, for
+        the q rows' column k; masking the p lanes to N rows cuts Mt to Mt_NN,
+        and identity rows pad every lane after its last row.  Raises
+        LinAlgError on a matrix that is not positive definite.
         """
         (lam, V), n, (_, steps, S) = self.space.modes, self.n, self.side.shape
         kd, ko, md, mo = (band[:, :, None] for band in self.side)
-        keep, lam2 = self.p_rows[:, :, None], lam * lam
+        keep, lam2 = (np.arange(steps)[:, None] < self.Ns)[:, :, None], lam * lam
         diag = np.concatenate([np.where(keep, kd + lam2 * md, 1.0), np.broadcast_to(md, (steps, S, n))], axis=1)
         diag[0, :S] += lam
         off = np.concatenate([np.where(keep[1:], ko[:-1] + lam2 * mo[:-1], 0.0),
                               np.broadcast_to(mo[:-1], (steps - 1, S, n))], axis=1)
         d, l = fem1d.tridiag_factor(diag, off)
 
-        def solve(r: np.ndarray) -> np.ndarray:
-            # The eigenbasis transforms go system by system, each on a contiguous
-            # block: one product over the stacked rows makes BLAS pick other kernels,
-            # which round differently.
-            R, x = r.reshape(-1, n), np.zeros((steps, 2 * S, n))
-            for s, (o, N, _, _) in enumerate(self.blocks):
-                r_q = R[o + N : o + 2 * N + 1] @ V
-                x[: N + 1, S + s], x[:N, s] = r_q, R[o : o + N] @ V - lam * r_q[:N]
+        def solve(R: np.ndarray) -> np.ndarray:
+            # The eigenbasis transforms go system by system: one product over all
+            # lanes makes BLAS pick other kernels, which round differently.
+            x = np.zeros((steps, 2 * S, n))
+            for s, N in enumerate(self.Ns):
+                r_q = R[: N + 1, S + s] @ V
+                x[: N + 1, S + s], x[:N, s] = r_q, R[:N, s] @ V - lam * r_q[:N]
             fem1d.tridiag_solve(d, l, x)
-            out = np.empty_like(R)
-            for s, (o, N, _, _) in enumerate(self.blocks):
-                p_s, q_s = x[:N, s].copy(), x[: N + 1, S + s].copy()
-                q_s[:N] += lam * p_s
-                np.matmul(p_s, V.T, out=out[o : o + N])
-                np.matmul(q_s, V.T, out=out[o + N : o + 2 * N + 1])
-            return out.ravel()
+            # The p lanes are zero after their N rows, so this adds lam [p; 0] to q.
+            x[:, S:] += lam * x[:, :S]
+            out = np.zeros_like(x)
+            for s, N in enumerate(self.Ns):
+                np.matmul(x[:N, s], V.T, out=out[:N, s])
+                np.matmul(x[: N + 1, S + s], V.T, out=out[: N + 1, S + s])
+            return out
 
         return solve
 
@@ -359,27 +351,26 @@ class _Batch:
 def solve_batch(systems: list[AssembledSystem]) -> list[EllipticSolution]:
     """Solve systems that share one space and one alpha as one block-diagonal system.
 
-    Every mode of every system, and every system's time mass, is one lane
-    of one tridiagonal LDL^T factorization, apply and the refinement step
-    run once, and since each lane's arithmetic is elementwise, each
-    solution is bitwise the one its system gets alone.  Each system must meet solve_sparse's
-    residual contract on its own, or EllipticSolverError is raised.
-    Systems on another space or with another alpha raise ValueError.
+    The loads go on _Batch's lanes once, where every mode of every system,
+    and every system's time mass, is one lane of one tridiagonal LDL^T
+    factorization, and apply and the refinement step run once.  Since each
+    lane's arithmetic is elementwise, each solution is bitwise the one its
+    system gets alone.  Each system must meet solve_sparse's residual
+    contract on its own vector, or EllipticSolverError is raised.  Systems
+    on another space or with another alpha raise ValueError.
     """
-    # A batch of one reads its system's own b; nothing below writes into b.
     batch = _Batch(systems)
-    b = systems[0].b if len(systems) == 1 else np.concatenate([system.b for system in systems])
     try:
         solve = batch.factor()
     except np.linalg.LinAlgError as exc:
         raise EllipticSolverError(f"tensor factorization failed: {exc}") from exc
+    b = batch.lanes([system.b for system in systems])
     x = solve(b)
     x += solve(b - batch.apply(x))
 
-    cuts, solutions = np.cumsum([system.b.size for system in systems])[:-1], []
-    residuals = [float(np.linalg.norm(r_s)) / (float(np.linalg.norm(system.b)) or 1.0)
-                 for system, r_s in zip(systems, np.split(b - batch.apply(x), cuts))]
-    for system, x_s, residual in zip(systems, np.split(x, cuts), residuals):
+    solutions = []
+    for system, x_s, r_s in zip(systems, batch.vector(x), batch.vector(b - batch.apply(x))):
+        residual = float(np.linalg.norm(r_s)) / (float(np.linalg.norm(system.b)) or 1.0)
         contract = 1e-10 if np.any(system.b) else 1e-12
         if not residual <= contract:
             raise EllipticSolverError(
@@ -396,8 +387,8 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
     """Direct tensor-product solve with one step of iterative refinement: solve_batch of one.
 
     The contract is a relative residual of at most 1e-10 (absolute 1e-12
-    for a zero load), measured with the matrix-free product system.apply;
-    anything worse, or a residual that is not a number, raises
-    EllipticSolverError instead of returning a silently inaccurate solution.
+    for a zero load) on the system's own vector, from the lanes' matrix-free
+    product that system.apply shares; anything worse, or a residual that is
+    not a number, raises EllipticSolverError instead of an inaccurate solution.
     """
     return solve_batch([system])[0]

@@ -250,9 +250,9 @@ def assemble_line_matrices(nodes):
 
 
 def tridiag_dot(diag: np.ndarray, off: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal matrix with these bands times Y, along Y's first axis."""
-    shape = (-1,) + (1,) * (np.ndim(Y) - 1)
-    diag, off = diag.reshape(shape), off.reshape(shape)
+    """The symmetric tridiagonal matrix with these bands times Y along axis 0; one per lane if (m, lanes...)."""
+    lanes = (...,) + (None,) * (np.ndim(Y) - np.ndim(diag))
+    diag, off = diag[lanes], off[lanes]
     out = diag * Y
     out[1:] += off * Y[:-1]
     out[:-1] += off * Y[1:]

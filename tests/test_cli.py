@@ -228,6 +228,20 @@ def test_assimilate_fields_equal_the_per_cell_text_of_the_in_process_result(tmp_
         assert (tmp_path / name).read_text() == per_cell_csv(field_)
 
 
+def test_a_failed_atomic_write_removes_its_temp_file_and_keeps_the_target(tmp_path):
+    target = tmp_path / "p.csv"
+    target.write_bytes(b"t,x,value\n0,0,1\n")
+
+    def blocks():
+        yield b"t,x,value\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        cli._atomic_write(target, blocks())
+    assert not list(tmp_path.glob("*.tmp"))
+    assert target.read_bytes() == b"t,x,value\n0,0,1\n"
+
+
 def test_config_precedence_file_env_override_flag(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -414,7 +414,7 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
 
 
 def test_a_solve_leaves_its_systems_load_unchanged():
-    # A batch of one solves with its system's own b, not a copy.
+    # The solve puts b on its lanes and writes nothing into the system's own b.
     sm, tg = mesh.build_spatial_mesh(0.0, 1.0, 20), mesh.build_uniform_time_grid(1.0, 10)
     system = elliptic.assemble(problems.example2(), sm, tg)
     b = system.b.copy()

@@ -267,6 +267,19 @@ def test_ldlt_kernel_matches_lapack_banded_cholesky():
         assert padded[:m, k].tobytes() == x[:m, k].tobytes()
 
 
+@pytest.mark.parametrize("lengths", [[1, 9, 4, 7, 2], [1]])
+def test_banded_product_with_bands_per_lane_equals_one_product_per_lane(lengths):
+    # The batched solver multiplies every lane of Y (steps, lanes, n) by its own bands.
+    rng = np.random.default_rng(len(lengths))
+    diag, off = (band[..., 0] for band in _spd_lanes(rng, lengths, 1))
+    Y = rng.standard_normal(diag.shape + (4,))
+    got = fem1d.tridiag_dot(diag, off, Y)
+    for k in range(len(lengths)):
+        want = fem1d.tridiag_dot(diag[:, k], off[:, k], Y[:, k])
+        assert got[:, k].tobytes() == want.tobytes()
+        assert np.allclose(want, fem1d.tridiag_dense(diag[:, k], off[:, k]) @ Y[:, k], rtol=1e-15, atol=1e-15)
+
+
 @pytest.mark.parametrize("pivot", [0, 3, 5])
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
 def test_ldlt_kernel_refuses_a_pivot_that_is_not_positive(pivot, value):
