@@ -18,7 +18,7 @@ the source, a step over an interval dt is one division per mode:
 
 Each eigenvalue is exact only to about eps * max(lam), an error the slow
 modes would compound step after step, so every march re-marches its nodal
-residual once: one step of iterative refinement, as in elliptic.solve_sparse.
+residual once: one step of iterative refinement.
 
 Adjoint source convention: stepping from time node j+1 down to j uses
 theta * g(j+1) + (1 - theta) * g(j).  With theta = 1 the backward march is

@@ -372,13 +372,51 @@ def _graded_towards_zero(bisections):
     return tgrid
 
 
+def _solved_once(system):
+    """The free values and relative residual of one direct solve, with no refinement."""
+    batch = elliptic._Batch([system])
+    b = batch.lanes([system.b])
+    x = batch.factor()(b)
+    (x_s,), (r_s,) = batch.vector(x), batch.vector(b - batch.apply(x))
+    return x_s, float(np.linalg.norm(r_s) / np.linalg.norm(system.b))
+
+
 def test_residual_contract_holds_after_refinement_on_a_graded_grid():
-    # Min dt 7.6e-7: one direct solve alone reaches about 1.6e-10, so the
-    # 1e-10 contract needs the refinement step.
+    # Min dt 3.8e-7 at d=40: one direct solve alone reaches 1.985e-10 (at one
+    # and at two BLAS threads), so the 1e-10 contract needs the refinement
+    # step, which brings it to 9.2e-11.
     spec, _ = problems.example3(eps=0.05)
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 120)
-    sol = elliptic.solve_sparse(elliptic.assemble(spec, sm, _graded_towards_zero(16)))
-    assert sol.solver_residual <= 1e-10
+    system = elliptic.assemble(spec, mesh.build_spatial_mesh(0.0, 1.0, 40), _graded_towards_zero(17))
+    assert _solved_once(system)[1] > 1e-10
+    assert elliptic.solve_sparse(system).solver_residual <= 1e-10
+
+
+def test_a_system_that_meets_the_contract_is_solved_once():
+    # Refinement runs only on a miss, so a passing system keeps the bits of
+    # its one solve.
+    spec, _ = problems.example3(eps=0.05)
+    system = elliptic.assemble(spec, mesh.build_spatial_mesh(0.0, 1.0, 40), mesh.build_uniform_time_grid(1.0, 40))
+    x_s, residual = _solved_once(system)
+    assert residual <= 1e-10
+    sol = elliptic.solve_sparse(system)
+    assert sol.p.values.tobytes() == system.dofmap.scatter(x_s)[0].tobytes()
+    assert sol.solver_residual == residual
+
+
+def test_a_batch_refines_only_the_system_that_misses():
+    # The refining grid between two that pass: each keeps the bits of its
+    # lone solve, so only the miss was refined, and it meets the contract.
+    spec, _ = problems.example3(eps=0.05)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    grids = [mesh.build_uniform_time_grid(1.0, 20), _graded_towards_zero(17), _graded_towards_zero(6)]
+    systems = elliptic.assemble_batch(spec, space, grids, [None] * 3)
+    assert [_solved_once(system)[1] <= 1e-10 for system in systems] == [True, False, True]
+    for system, batched in zip(systems, elliptic.solve_batch(systems)):
+        alone = elliptic.solve_sparse(system)
+        assert batched.p.values.tobytes() == alone.p.values.tobytes()
+        assert batched.q.values.tobytes() == alone.q.values.tobytes()
+        assert batched.solver_residual == alone.solver_residual <= 1e-10
 
 
 def test_residual_contract_fails_loudly_below_its_known_limit():
