@@ -13,10 +13,11 @@ solution or None; with a solution and variable a or nonzero a0 it adds
 -A q = a' q_x - a0 q.  adapt_loop always marks on the data-only indicator,
 so recording reference errors only measures the grids it builds.
 
-adapt_loop samples an interval's data once, when bisection creates it, and
-keeps only its moments (see _Integrand) and, on the reference route, its load
-rows (elliptic.hat_rows); each cycle then costs O(N d q).  The reference
-route's solves all run after the loop, batched (elliptic.solve_batch).
+adapt_loop lays out an interval's quadrature nodes and samples its data once,
+when bisection creates it, and keeps only its moments (see _Integrand) and, on
+the reference route, its load rows (elliptic.hat_rows); each cycle then costs
+O(N d q).  The reference route's solves all run after the loop, batched
+(elliptic.solve_batch), on the cycles' own grids.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import elliptic, fem1d
 from .assimilation import ProblemSpec
-from .mesh import SpatialMesh, TimeGrid, bisect_intervals, build_time_grid, build_uniform_time_grid
+from .mesh import SpatialMesh, TimeGrid, bisect_intervals, build_uniform_time_grid
 
 __all__ = [
     "ErrorIndicators",
@@ -157,8 +158,7 @@ class _Integrand:
     @cached_property
     def hat_products(self) -> np.ndarray:
         """The time rule's integrals of (1 - lam)^2, (1 - lam) lam and lam^2 over [0, 1]."""
-        unit = build_uniform_time_grid(1.0, 1)
-        _, (w,), (lam,) = fem1d.time_quadrature(unit, self.quad.order, panels=_TIME_PANELS)
+        _, (w,), (lam,) = fem1d.time_quadrature([0.0], [1.0], self.quad.order, panels=_TIME_PANELS)
         return np.stack(((1.0 - lam) ** 2, (1.0 - lam) * lam, lam * lam)) @ w
 
     def moments(self, g, w, dt, lam=None) -> tuple[float, np.ndarray | None]:
@@ -223,7 +223,7 @@ def compute_indicators(
     ):
         raise ValueError("solution and indicator live on different grids")
     integrand = _Integrand(problem, smesh, quad_order)
-    t, w_t, lam = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
+    t, w_t, lam = fem1d.time_quadrature(tgrid.taus[:-1], tgrid.deltas, quad_order, panels=_TIME_PANELS)
 
     # One interval at a time, so the sampled data never scale with N.
     q, lams = (None, [None] * tgrid.N) if sol is None else (sol.q.values, lam)
@@ -306,10 +306,11 @@ def adapt_loop(
     cycle, in batches of at most 4 * n_max intervals; otherwise no solve
     happens at all.
 
-    Each interval's data are sampled once, in one batch with the other
-    intervals of its cycle, when bisection creates it, and only its moments
-    are kept, with its elliptic.hat_rows from the same call on the reference
-    route.  Indicators and solves equal fresh ones on every cycle's grid.
+    Each interval's quadrature nodes are laid out and its data sampled once,
+    in one batch with the other intervals of its cycle, when bisection
+    creates it, and only its moments are kept, with its elliptic.hat_rows
+    from the same call on the reference route.  Indicators and solves equal
+    fresh ones on every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
@@ -319,25 +320,29 @@ def adapt_loop(
     integrand = _Integrand(problem, smesh, quad_order)
 
     # Live interval (t0, t1) -> its moments (e, None); bisected parents drop
-    # out.  On the reference route rows_of keeps every interval's hat rows.
+    # out.  On the reference route rows_of keeps every interval's hat rows
+    # and tgrids every cycle's grid.
     cache: dict[tuple[float, float], tuple] = {}
     rows_of: dict[tuple[float, float], np.ndarray] = {}
+    tgrids: list[TimeGrid] = []
     cycle = 0
     while True:
-        t, w_t, _ = fem1d.time_quadrature(tgrid, quad_order, panels=_TIME_PANELS)
         keys = _intervals(tgrid)
         fresh = [i for i, key in enumerate(keys) if key not in cache]
+        starts, lengths = tgrid.taus[:-1][fresh], tgrid.deltas[fresh]
+        t, w_t, _ = fem1d.time_quadrature(starts, lengths, quad_order, panels=_TIME_PANELS)
         if errors is None:
-            for i, g in zip(fresh, problem.data_residual(t[fresh], integrand.quad.x)):
-                cache[keys[i]] = integrand.moments(g, w_t[i], tgrid.deltas[i])
+            for i, g, w, dt in zip(fresh, problem.data_residual(t, integrand.quad.x), w_t, lengths):
+                cache[keys[i]] = integrand.moments(g, w, dt)
         else:
-            nt, (t_load, w_load, lam_load) = t.shape[1], fem1d.time_quadrature(tgrid, quad_order)
-            g = problem.data_residual(np.concatenate((t[fresh], t_load[fresh]), axis=1), integrand.quad.x)
-            rows = elliptic.hat_rows(integrand.quad, g[:, nt:], w_load[fresh], lam_load[fresh])
+            nt, (t_load, w_load, lam_load) = t.shape[1], fem1d.time_quadrature(starts, lengths, quad_order)
+            g = problem.data_residual(np.concatenate((t, t_load), axis=1), integrand.quad.x)
+            rows = elliptic.hat_rows(integrand.quad, g[:, nt:], w_load, lam_load)
             for j, i in enumerate(fresh):
-                cache[keys[i]] = integrand.moments(g[j, :nt], w_t[i], tgrid.deltas[i])
+                cache[keys[i]] = integrand.moments(g[j, :nt], w_t[j], lengths[j])
                 rows_of[keys[i]] = rows[j]
         cache = {key: cache[key] for key in keys}
+        tgrids.append(tgrid)
         ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas))
         history.append(
             CycleRecord(
@@ -360,7 +365,7 @@ def adapt_loop(
 
     if errors is not None:
         cycles = history.cycles
-        grids = [(build_time_grid(rec.taus), True) for rec in cycles]
+        grids = [(g, True) for g in tgrids]
         grids += [(build_uniform_time_grid(problem.T, rec.n_intervals), False) for rec in cycles[1:]]
         gaps = errors(grids, rows_of)
         uniform = gaps[:1] + gaps[len(cycles):]

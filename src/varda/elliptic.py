@@ -191,7 +191,9 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
     quad = space.quad
     missing = [tgrid for tgrid, r in zip(tgrids, rows) if r is None]
     if missing:
-        t, w, lam = (np.concatenate(a) for a in zip(*(fem1d.time_quadrature(g, quad.order) for g in missing)))
+        starts = np.concatenate([g.taus[:-1] for g in missing])
+        lengths = np.concatenate([g.deltas for g in missing])
+        t, w, lam = fem1d.time_quadrature(starts, lengths, quad.order)
         sampled = hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
         sampled = np.split(sampled, np.cumsum([g.N for g in missing])[:-1])
         rows = [sampled.pop(0) if r is None else r for r in rows]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .mesh import SpatialMesh, TimeGrid
+from .mesh import SpatialMesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -138,10 +138,12 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return points.copy(), weights.copy()
 
 
-def _finite(fun: Callable, vals: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(vals)):
+def _finite(fun: Callable, vals: np.ndarray, shape: tuple) -> np.ndarray:
+    """vals broadcast to shape; ValueError if vals holds a non-finite entry and the shape is not empty."""
+    out = np.broadcast_to(vals, shape)
+    if out.size and not np.all(np.isfinite(vals)):
         raise ValueError(f"callback {getattr(fun, '__qualname__', fun)} returned non-finite values")
-    return vals
+    return out
 
 
 # Both samplers evaluate callbacks with numpy's floating-point warnings off:
@@ -150,7 +152,7 @@ def _coefficient_at(fun: Callable, x: np.ndarray) -> np.ndarray:
     # Accepts scalar-valued or vectorized callables.
     with np.errstate(all="ignore"):
         vals = np.asarray(fun(x), dtype=float)
-    return _finite(fun, np.broadcast_to(vals, x.shape))
+    return _finite(fun, vals, x.shape)
 
 
 def sample(fun: Callable, t, x) -> np.ndarray:
@@ -164,7 +166,7 @@ def sample(fun: Callable, t, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         vals = fun(t.reshape(t.shape + (1,) * x.ndim), x.reshape((1,) * t.ndim + x.shape))
-    return _finite(fun, np.broadcast_to(np.asarray(vals, dtype=float), t.shape + x.shape))
+    return _finite(fun, np.asarray(vals, dtype=float), t.shape + x.shape)
 
 
 @dataclass(frozen=True)
@@ -204,21 +206,24 @@ def spatial_quadrature(smesh: SpatialMesh, quad_order: int) -> SpatialQuadrature
     return SpatialQuadrature(gw, xg, 0.5 * smesh.h * gw, phi)
 
 
-def time_quadrature(tgrid: TimeGrid, quad_order: int, panels: int = 1):
-    """Composite Gauss rule over equal sub-panels of every time interval.
+def time_quadrature(starts: np.ndarray, lengths: np.ndarray, quad_order: int, panels: int = 1):
+    """Composite Gauss rule over equal sub-panels of the time intervals [t0, t0 + dt].
 
-    Returns the nodes t, their weights, and lam = (t - t0) / dt, their place
-    in the interval; each has shape (N, panels * q), one row per interval.
+    starts and lengths hold the n intervals' t0 and dt, as a TimeGrid's
+    taus[:-1] and deltas do.  Returns the nodes t, their weights, and
+    lam = (t - t0) / dt, their place in the interval; each has shape
+    (n, panels * q), one row per interval, and a row depends on its own
+    interval only.
     """
     gp, gw = gauss_rule(quad_order)
-    t0 = tgrid.taus[:-1, None, None]
-    dt = tgrid.deltas[:, None, None]
+    t0 = np.asarray(starts, dtype=float)[:, None, None]
+    dt = np.asarray(lengths, dtype=float)[:, None, None]
     panel_dt = dt / panels
     panel_mid = t0 + (np.arange(panels)[None, :, None] + 0.5) * panel_dt
     t = panel_mid + 0.5 * panel_dt * gp
     w = np.broadcast_to(0.5 * panel_dt * gw, t.shape)
     lam = (t - t0) / dt
-    return t.reshape(tgrid.N, -1), w.reshape(tgrid.N, -1), lam.reshape(tgrid.N, -1)
+    return t.reshape(len(t0), -1), w.reshape(len(t0), -1), lam.reshape(len(t0), -1)
 
 
 def _bands(e00: np.ndarray, e01: np.ndarray, e11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

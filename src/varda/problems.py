@@ -11,7 +11,9 @@ nu and zero reaction:
   data is exposed separately for verification.
 * example3: a manufactured problem whose exact adjoint is a smooth bump
   ramp in time times a sine in space, used to measure true errors and to
-  exercise the adaptive grid around the ramp.
+  exercise the adaptive grid around the ramp.  One kernel, _ramp, gives the
+  ramp and its first two time derivatives from one exp per side of the
+  ramp; bump_sigma, bump_sigma_dt and bump_sigma_dtt are views of it.
 """
 
 from __future__ import annotations
@@ -172,26 +174,38 @@ def example2(alpha: float = 0.01, nu: float = 0.1, eps: float = 0.01) -> Problem
     return _unit_square(alpha, nu, _zero, y_d, y_d_t, y_b)
 
 
-# The clamp below is exact: for 0 < u <= 1e-3 the value exp(-1/u) already
-# underflows to 0.0 in double precision, so replacing u keeps the result
-# bit-identical while avoiding 0/0 in the derivative formulas.
-def _bump(u):
-    """Smooth cutoff exp(-1/u) for u > 0, zero otherwise."""
-    u = np.asarray(u, dtype=float)
-    safe = np.maximum(u, 1e-3)
-    return np.where(u > 0.0, np.exp(-1.0 / safe), 0.0)
+def _ramp(t, m: float, eps: float, order: int) -> list:
+    """[sigma, sigma', ...] up to the order-th time derivative (order <= 2) of bump_sigma.
 
-
-def _bump_d1(u):
-    u = np.asarray(u, dtype=float)
-    safe = np.maximum(u, 1e-3)
-    return np.where(u > 0.0, np.exp(-1.0 / safe) / (safe * safe), 0.0)
-
-
-def _bump_d2(u):
-    u = np.asarray(u, dtype=float)
-    safe = np.maximum(u, 1e-3)
-    return np.where(u > 0.0, np.exp(-1.0 / safe) * (1.0 - 2.0 * safe) / safe**4, 0.0)
+    Each side of the ramp, w = 0.5 - s and v = 0.5 + s with s = (t - m) / eps,
+    takes one exp: g(u) = exp(-1/u) for u > 0 and zero otherwise, with
+    g' = g / u^2 and g'' = g (1 - 2u) / u^4.  The clamp of u to 1e-3 is
+    exact: for 0 < u <= 1e-3, exp(-1/u) already underflows to 0.0 in double
+    precision, so the clamp changes no value and keeps the derivatives free
+    of 0/0.
+    """
+    s = (np.asarray(t, dtype=float) - m) / eps
+    sides = []
+    for u in (0.5 - s, 0.5 + s):
+        safe = np.maximum(u, 1e-3)
+        g = [np.where(u > 0.0, np.exp(-1.0 / safe), 0.0)]
+        if order >= 1:
+            g.append(g[0] / (safe * safe))
+        if order >= 2:
+            g.append(g[0] * (1.0 - 2.0 * safe) / safe**4)
+        sides.append(g)
+    (gw, gv), *derivatives = zip(*sides)
+    den = gw + gv
+    out = [gw / den]
+    if order >= 1:
+        gw1, gv1 = derivatives[0]
+        cross = gw1 * gv + gw * gv1
+        out.append(-(1.0 / eps) * cross / (den * den))
+    if order >= 2:
+        gw2, gv2 = derivatives[1]
+        numer = (gw * gv2 - gw2 * gv) * den - 2.0 * cross * (gv1 - gw1)
+        out.append(-(1.0 / (eps * eps)) * numer / den**3)
+    return out
 
 
 def bump_sigma(t, m: float, eps: float):
@@ -199,34 +213,17 @@ def bump_sigma(t, m: float, eps: float):
 
     sigma is exactly 1 for t <= m - eps/2 and exactly 0 for t >= m + eps/2.
     """
-    s = (np.asarray(t, dtype=float) - m) / eps
-    down = _bump(0.5 - s)
-    up = _bump(0.5 + s)
-    return down / (down + up)
+    return _ramp(t, m, eps, 0)[0]
 
 
 def bump_sigma_dt(t, m: float, eps: float):
     """First time derivative of bump_sigma."""
-    s = (np.asarray(t, dtype=float) - m) / eps
-    w = 0.5 - s
-    v = 0.5 + s
-    den = _bump(w) + _bump(v)
-    cross = _bump_d1(w) * _bump(v) + _bump(w) * _bump_d1(v)
-    return -(1.0 / eps) * cross / (den * den)
+    return _ramp(t, m, eps, 1)[1]
 
 
 def bump_sigma_dtt(t, m: float, eps: float):
     """Second time derivative of bump_sigma."""
-    s = (np.asarray(t, dtype=float) - m) / eps
-    w = 0.5 - s
-    v = 0.5 + s
-    gw, gv = _bump(w), _bump(v)
-    gw1, gv1 = _bump_d1(w), _bump_d1(v)
-    gw2, gv2 = _bump_d2(w), _bump_d2(v)
-    den = gw + gv
-    cross = gw1 * gv + gw * gv1
-    numer = (gw * gv2 - gw2 * gv) * den - 2.0 * cross * (gv1 - gw1)
-    return -(1.0 / (eps * eps)) * numer / den**3
+    return _ramp(t, m, eps, 2)[2]
 
 
 def example3(
@@ -258,8 +255,7 @@ def example3(
         return bump_sigma(t, m, eps) * np.sin(np.pi * x)
 
     def f(t, x):
-        s = bump_sigma(t, m, eps)
-        s1 = bump_sigma_dt(t, m, eps)
+        s, s1 = _ramp(t, m, eps, 1)
         return (rate * rate * s + rate * s1) * np.sin(np.pi * x)
 
     def y_d(t, x):

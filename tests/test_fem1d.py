@@ -173,6 +173,40 @@ def test_sample_shapes_and_non_finite_values():
         fem1d._coefficient_at(lambda x: np.log(x), x)
 
 
+def test_samplers_check_the_callback_result_before_broadcasting():
+    x = np.linspace(0.0, 1.0, 20).reshape(4, 5)
+
+    def x_shaped_nan(t, x):
+        return np.where(x > 0.9, np.nan, 0.0)
+
+    with pytest.raises(ValueError, match="x_shaped_nan"):
+        fem1d.sample(x_shaped_nan, np.array([0.0, 0.5]), x)
+
+    def nan_coefficient(x):
+        return np.where(x > 0.9, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="nan_coefficient"):
+        fem1d._coefficient_at(nan_coefficient, x)
+    # An empty target holds no value, so nothing in it can be non-finite.
+    assert fem1d.sample(x_shaped_nan, np.array([]), x).shape == (0, 4, 5)
+    assert fem1d.sample(lambda t, x: np.nan, 0.5, np.empty((3, 0))).shape == (3, 0)
+    assert fem1d._coefficient_at(lambda x: np.nan, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("panels", [1, 16])
+def test_time_quadrature_on_some_intervals_equals_those_rows_of_the_whole_rule(panels):
+    tgrid = mesh.bisect_intervals(mesh.build_uniform_time_grid(1.0, 7), {0, 3, 6})
+    rows = [1, 4, 5, 9]
+    whole = fem1d.time_quadrature(tgrid.taus[:-1], tgrid.deltas, 3, panels=panels)
+    some = fem1d.time_quadrature(tgrid.taus[:-1][rows], tgrid.deltas[rows], 3, panels=panels)
+    for all_rows, part in zip(whole, some):
+        assert part.shape == (len(rows), 3 * panels)
+        assert all_rows[rows].tobytes() == part.tobytes()
+    t, w, lam = whole
+    np.testing.assert_allclose(w.sum(axis=1), tgrid.deltas, rtol=1e-14)
+    np.testing.assert_allclose(t, tgrid.taus[:-1, None] + lam * tgrid.deltas[:, None], rtol=0, atol=1e-15)
+
+
 def _coo_reference(smesh, a, a0, quad_order):
     """M and K by a per-element COO loop, summing duplicates in CSR conversion."""
     quad = fem1d.spatial_quadrature(smesh, quad_order)

@@ -47,6 +47,60 @@ def test_ramp_derivatives_vanish_on_the_plateaus():
         assert problems.bump_sigma_dtt(t, 0.5, 0.2) == 0.0
 
 
+# Reference ramp: the per-derivative formulas, one exp per term.
+def _old_bump(u):
+    safe = np.maximum(u, 1e-3)
+    return np.where(u > 0.0, np.exp(-1.0 / safe), 0.0)
+
+
+def _old_bump_d1(u):
+    safe = np.maximum(u, 1e-3)
+    return np.where(u > 0.0, np.exp(-1.0 / safe) / (safe * safe), 0.0)
+
+
+def _old_bump_d2(u):
+    safe = np.maximum(u, 1e-3)
+    return np.where(u > 0.0, np.exp(-1.0 / safe) * (1.0 - 2.0 * safe) / safe**4, 0.0)
+
+
+def _old_sigmas(t, m, eps):
+    s = (np.asarray(t, dtype=float) - m) / eps
+    w, v = 0.5 - s, 0.5 + s
+    gw, gv = _old_bump(w), _old_bump(v)
+    gw1, gv1 = _old_bump_d1(w), _old_bump_d1(v)
+    gw2, gv2 = _old_bump_d2(w), _old_bump_d2(v)
+    den = gw + gv
+    cross = gw1 * gv + gw * gv1
+    numer = (gw * gv2 - gw2 * gv) * den - 2.0 * cross * (gv1 - gw1)
+    return gw / den, -(1.0 / eps) * cross / (den * den), -(1.0 / (eps * eps)) * numer / den**3
+
+
+@pytest.mark.parametrize("m, eps", [(0.5, 0.5), (0.5, 0.05), (0.3, 0.2)])
+def test_ramp_kernel_matches_the_per_derivative_formulas(m, eps):
+    edges = np.array([m - eps / 2, m + eps / 2])
+    # Both plateaus, the ramp's ends exactly and one ulp off, and each side's
+    # clamp: there u = 0.5 -+ s crosses 1e-3 at eps * 1e-3 inside an end.
+    steps = eps * np.array([-2e-3, -1e-3, -9.99e-4, -5e-4, -1e-6, 1e-6, 5e-4, 9.99e-4, 1e-3, 2e-3])
+    t = np.sort(np.concatenate([
+        np.linspace(0.0, 1.0, 4001), edges, (edges[:, None] + steps).ravel(),
+        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [m],
+    ]))
+    assert np.all((0.0 <= t) & (t <= 1.0))
+    new = (problems.bump_sigma, problems.bump_sigma_dt, problems.bump_sigma_dtt)
+    for k, (fun, want) in enumerate(zip(new, _old_sigmas(t, m, eps))):
+        assert np.array_equal(fun(t, m, eps), want), fun.__name__
+        assert all(fun(ti, m, eps) == _old_sigmas(ti, m, eps)[k] for ti in t[::97].tolist()), fun.__name__
+
+    spec, _ = problems.example3(m=m, eps=eps)
+    tt, xx = t[:, None], np.linspace(0.0, 1.0, 17)[None, :]
+    s, s1, s2 = _old_sigmas(tt, m, eps)
+    sine = np.sin(np.pi * xx)
+    assert np.array_equal(spec.f(tt, xx), (RATE * RATE * s + RATE * s1) * sine)
+    assert np.array_equal(spec.y_d(tt, xx), s1 * sine)
+    assert np.array_equal(spec.y_d_t(tt, xx), s2 * sine)
+    assert np.array_equal(spec.Ay_d(tt, xx), RATE * (s1 * sine))
+
+
 def test_example1_data_solve_the_model():
     rng = np.random.default_rng(5)
     spec = problems.example1("i")
