@@ -14,10 +14,10 @@ solution or None; with a solution and variable a or nonzero a0 it adds
 so recording reference errors only measures the grids it builds.
 
 adapt_loop lays out an interval's quadrature nodes and samples its data once,
-when bisection creates it, and keeps only its moments (see _Integrand) and, on
-the reference route, its load rows (elliptic.hat_rows); each cycle then costs
-O(N d q).  The reference route's solves all run after the loop, batched
-(elliptic.solve_batch), on the cycles' own grids.
+when bisection creates it, and keeps only its moments (see _Integrand); each
+cycle then costs O(N d q).  The reference route's solves all run after the
+loop, batched (elliptic.assemble_batch and solve_batch), on the cycles' own
+grids, and elliptic samples each of their load intervals once.
 """
 
 from __future__ import annotations
@@ -253,34 +253,28 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     return chosen
 
 
-def _intervals(tgrid: TimeGrid) -> list[tuple[float, float]]:
-    """The grid's intervals as (t0, t1) keys."""
-    return list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
-
-
 def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int):
     """Assemble the system on the uniform grid of n_reference intervals; return errors, scored against it.
 
-    errors(grids, rows_of) gives the L2(Omega) gaps of p(0) on each grid to
-    the reference p(0).  grids holds (tgrid, cached) pairs: a cached grid's
-    hat rows come from rows_of, keyed by interval, and the rest are sampled.
-    The reference, which fills a batch alone, and then the grids in order
-    are solved in batches of at most n_reference intervals (a larger grid
-    alone) on one space, and only each p(0) is kept.  The reference load is
+    errors(grids) gives the L2(Omega) gaps of p(0) on each grid to the
+    reference p(0).  The reference, which fills a batch alone, and then the
+    grids in order are solved in batches of at most n_reference intervals (a
+    larger grid alone) on one space, and only each p(0) is kept.  All
+    batches share one dict of load rows (see elliptic.assemble_batch), so an
+    interval that several grids hold is sampled once.  The reference load is
     checked here, before any grid is scored.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
+    rows: dict[tuple[float, float], np.ndarray] = {}
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
-    reference = elliptic.assemble_batch(problem, space, [ref_grid], [None])
+    reference = elliptic.assemble_batch(problem, space, [ref_grid], rows)
 
-    def errors(grids, rows_of=None) -> list[float]:
+    def errors(grids: list[TimeGrid]) -> list[float]:
         ref_p0, p0 = elliptic.solve_batch(reference)[0].p.values[0], []
         while grids:
-            k = max(1, int(np.searchsorted(np.cumsum([g.N for g, _ in grids]), n_reference, side="right")))
+            k = max(1, int(np.searchsorted(np.cumsum([g.N for g in grids]), n_reference, side="right")))
             batch, grids = grids[:k], grids[k:]
-            rows = [np.array([rows_of[key] for key in _intervals(g)]) if cached else None
-                    for g, cached in batch]
-            systems = elliptic.assemble_batch(problem, space, [g for g, _ in batch], rows)
+            systems = elliptic.assemble_batch(problem, space, batch, rows)
             p0 += [sol.p.values[0].copy() for sol in elliptic.solve_batch(systems)]
         diffs = [ref_p0 - p for p in p0]
         return [float(np.sqrt(diff @ fem1d.tridiag_dot(*space.m_band, diff))) for diff in diffs]
@@ -308,8 +302,7 @@ def adapt_loop(
 
     Each interval's quadrature nodes are laid out and its data sampled once,
     in one batch with the other intervals of its cycle, when bisection
-    creates it, and only its moments are kept, with its elliptic.hat_rows
-    from the same call on the reference route.  Indicators and solves equal
+    creates it, and only its moments are kept.  Indicators and solves equal
     fresh ones on every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
@@ -320,27 +313,17 @@ def adapt_loop(
     integrand = _Integrand(problem, smesh, quad_order)
 
     # Live interval (t0, t1) -> its moments (e, None); bisected parents drop
-    # out.  On the reference route rows_of keeps every interval's hat rows
-    # and tgrids every cycle's grid.
+    # out.  tgrids keeps every cycle's grid for the reference route.
     cache: dict[tuple[float, float], tuple] = {}
-    rows_of: dict[tuple[float, float], np.ndarray] = {}
     tgrids: list[TimeGrid] = []
     cycle = 0
     while True:
-        keys = _intervals(tgrid)
+        keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
         fresh = [i for i, key in enumerate(keys) if key not in cache]
         starts, lengths = tgrid.taus[:-1][fresh], tgrid.deltas[fresh]
         t, w_t, _ = fem1d.time_quadrature(starts, lengths, quad_order, panels=_TIME_PANELS)
-        if errors is None:
-            for i, g, w, dt in zip(fresh, problem.data_residual(t, integrand.quad.x), w_t, lengths):
-                cache[keys[i]] = integrand.moments(g, w, dt)
-        else:
-            nt, (t_load, w_load, lam_load) = t.shape[1], fem1d.time_quadrature(starts, lengths, quad_order)
-            g = problem.data_residual(np.concatenate((t, t_load), axis=1), integrand.quad.x)
-            rows = elliptic.hat_rows(integrand.quad, g[:, nt:], w_load, lam_load)
-            for j, i in enumerate(fresh):
-                cache[keys[i]] = integrand.moments(g[j, :nt], w_t[j], lengths[j])
-                rows_of[keys[i]] = rows[j]
+        for i, g, w, dt in zip(fresh, problem.data_residual(t, integrand.quad.x), w_t, lengths):
+            cache[keys[i]] = integrand.moments(g, w, dt)
         cache = {key: cache[key] for key in keys}
         tgrids.append(tgrid)
         ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas))
@@ -365,9 +348,7 @@ def adapt_loop(
 
     if errors is not None:
         cycles = history.cycles
-        grids = [(g, True) for g in tgrids]
-        grids += [(build_uniform_time_grid(problem.T, rec.n_intervals), False) for rec in cycles[1:]]
-        gaps = errors(grids, rows_of)
+        gaps = errors(tgrids + [build_uniform_time_grid(problem.T, rec.n_intervals) for rec in cycles[1:]])
         uniform = gaps[:1] + gaps[len(cycles):]
         history.cycles = [replace(rec, true_error=e, uniform_error=u)
                           for rec, e, u in zip(cycles, gaps, uniform)]
@@ -388,7 +369,7 @@ def uniform_initial_errors(
     uniform_error of adapt_loop's records bitwise: both build their own
     reference solve and solve through the same code.
     """
-    grids = [(build_uniform_time_grid(problem.T, int(n)), False) for n in counts]
+    grids = [build_uniform_time_grid(problem.T, int(n)) for n in counts]
     return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)(grids))
 
 

@@ -81,7 +81,6 @@ __all__ = [
     "EllipticSolverError",
     "assemble",
     "assemble_batch",
-    "hat_rows",
     "solve_batch",
     "solve_sparse",
 ]
@@ -174,33 +173,35 @@ class EllipticSolution:
     solver_residual: float
 
 
-def hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Left and right time-hat loads (n, 2, d+1) of n intervals, from g at time_quadrature's nodes."""
     nodal = quad.gather(g)
     return np.stack([np.einsum("ik,ikj->ij", w * hat, nodal) for hat in (1.0 - lam, lam)], axis=1)
 
 
-def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids, rows) -> list[np.ndarray]:
+def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids, rows=None) -> list[np.ndarray]:
     """Loads against every p test function, (N+1, d+1) and time-major, one per grid.
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
-    function, summed from the intervals' hat_rows; those of the grids whose
-    rows are None are sampled here, in one call.  Initial term: integral of
-    (y_b - y_d(0)) against the t=0 hats, sampled once.
+    function, summed from the intervals' _hat_rows, which rows maps from each
+    interval (t0, t1).  The distinct intervals that rows lacks are sampled
+    here, in one call, and added to it.  An interval's rows depend on its t0
+    and t1 only (t1 - t0 is bitwise np.diff(taus)), so rows changes no bit
+    of a load.  Initial term: integral of (y_b - y_d(0)) against the t=0
+    hats, sampled once.
     """
-    quad = space.quad
-    missing = [tgrid for tgrid, r in zip(tgrids, rows) if r is None]
+    quad, rows = space.quad, {} if rows is None else rows
+    keys = [list(zip(g.taus[:-1].tolist(), g.taus[1:].tolist())) for g in tgrids]
+    missing = [key for key in dict.fromkeys(key for grid in keys for key in grid) if key not in rows]
     if missing:
-        starts = np.concatenate([g.taus[:-1] for g in missing])
-        lengths = np.concatenate([g.deltas for g in missing])
-        t, w, lam = fem1d.time_quadrature(starts, lengths, quad.order)
-        sampled = hat_rows(quad, problem.data_residual(t, quad.x), w, lam)
-        sampled = np.split(sampled, np.cumsum([g.N for g in missing])[:-1])
-        rows = [sampled.pop(0) if r is None else r for r in rows]
+        t0, t1 = np.array(missing).T
+        t, w, lam = fem1d.time_quadrature(t0, t1 - t0, quad.order)
+        rows.update(zip(missing, _hat_rows(quad, problem.data_residual(t, quad.x), w, lam)))
 
     init = quad.gather(fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x))
     loads = [np.zeros((tgrid.N + 1, space.smesh.d + 1)) for tgrid in tgrids]
-    for load, r in zip(loads, rows):
+    for load, grid in zip(loads, keys):
+        r = np.array([rows[key] for key in grid])
         # Interval i feeds the time hats of its nodes i and i + 1.
         load[:-1] += r[:, 0]
         load[1:] += r[:, 1]
@@ -230,15 +231,17 @@ def assemble(
         space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     elif not (np.array_equal(space.smesh.nodes, smesh.nodes) and space.quad.order == quad_order):
         raise ValueError("spatial operator was built on another mesh or at another quad_order")
-    return assemble_batch(problem, space, [tgrid], [None])[0]
+    return assemble_batch(problem, space, [tgrid])[0]
 
 
 def assemble_batch(
-    problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids: list[TimeGrid], rows: list
+    problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids: list[TimeGrid], rows: dict | None = None
 ) -> list[AssembledSystem]:
-    """assemble on each of tgrids and one space, rows[i] being the hat_rows of tgrids[i] or None.
+    """assemble on each of tgrids and one space; rows, if given, is _data_loads' interval dict.
 
-    The data of the grids without rows, the lateral trace of y_d and the
+    Calls on one problem and space that pass one dict sample each interval
+    once, and the systems are bitwise the same with or without it.  The data
+    of the intervals that rows lacks, the lateral trace of y_d and the
     initial term are each sampled in one call for the whole batch.  Raises
     ValueError as assemble does.
     """

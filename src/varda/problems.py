@@ -181,14 +181,14 @@ def _ramp(t, m: float, eps: float, order: int) -> list:
     takes one exp: g(u) = exp(-1/u) for u > 0 and zero otherwise, with
     g' = g / u^2 and g'' = g (1 - 2u) / u^4.  The clamp of u to 1e-3 is
     exact: for 0 < u <= 1e-3, exp(-1/u) already underflows to 0.0 in double
-    precision, so the clamp changes no value and keeps the derivatives free
-    of 0/0.
+    precision, and for u <= 0 the clamped exp(-1000) is exactly g's +0.0, so
+    the clamp changes no value and keeps the derivatives free of 0/0.
     """
     s = (np.asarray(t, dtype=float) - m) / eps
     sides = []
     for u in (0.5 - s, 0.5 + s):
         safe = np.maximum(u, 1e-3)
-        g = [np.where(u > 0.0, np.exp(-1.0 / safe), 0.0)]
+        g = [np.exp(-1.0 / safe)]
         if order >= 1:
             g.append(g[0] / (safe * safe))
         if order >= 2:

@@ -429,12 +429,15 @@ def test_adapt_loop_samples_each_interval_once():
 
 
 def test_reference_route_samples_each_interval_once(monkeypatch):
-    # example2 from 5 to 40 intervals by MAX, d=20.  f is sampled at 3 Gauss
-    # nodes per interval of the 160-interval reference, at 16 x 3 + 3 nodes
-    # per interval the cycles create (5 + 2 x 35), and at 3 nodes per
-    # interval of the uniform grids of 6..40 intervals (cycle 0's grid is
-    # uniform already).  The 72 solves run in 12 batches, each of which samples
-    # y_d twice (lateral trace, initial term) and y_b once.
+    # example2 from 5 to 40 intervals by MAX, d=20.  f is sampled at 16 x 3
+    # indicator nodes per interval the cycles create (5 + 2 x 35 = 75), and
+    # at 3 load nodes per distinct interval of the 72 solved grids: the
+    # 160-interval reference, the cycles' grids and the uniform grids of
+    # 6..40 intervals (cycle 0's grid is uniform already).  Those hold
+    # 160 + 75 + 805 intervals, of which the cycles share 9 with the
+    # reference and 22 with the uniform grids: 1,009 distinct.  The 72
+    # solves run in 12 batches, each of which samples y_d twice (lateral
+    # trace, initial term) and y_b once.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
     cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
@@ -470,8 +473,11 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     monkeypatch.setattr(elliptic, "solve_batch", counted_solve)
     tgrid, history = adaptivity.adapt_loop(counted_spec, sm, cfg)
     assert tgrid.N == 40 and len(history.cycles) == 36
-    uniform_intervals = sum(range(6, 41))
-    assert sum(points) == (160 * 3 + 75 * 51 + uniform_intervals * 3) * sm.d * 3
+    uniform_grids = [mesh.build_uniform_time_grid(1.0, n) for n in (160, *range(6, 41))]
+    intervals = {interval for grid in uniform_grids + [mesh.build_time_grid(rec.taus) for rec in history.cycles]
+                 for interval in zip(grid.taus[:-1].tolist(), grid.taus[1:].tolist())}
+    assert len(intervals) == 160 + 75 + sum(range(6, 41)) - 9 - 22 == 1009
+    assert sum(points) == (75 * 48 + 1009 * 3) * sm.d * 3 == 397_620
     # t comes shaped (intervals, nodes, 1, 1).
     assert max(shape[0] for shape in shapes) <= 4 * cfg.n_max
     # 1 reference solve, 36 cycle solves and 35 uniform solves, in batches of
@@ -480,11 +486,12 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     assert len(solves) == 72
     assert sorted(solves) == sorted([160, *range(5, 41), *range(6, 41)])
     assert max(sum(batch) for batch in batches) <= 4 * cfg.n_max
-    assert len(batches) == 12 and calls == {"y_d": 24, "y_d_t": 43, "Ay_d": 43, "y_b": 12}
-    # f is sampled once per cycle, for the reference, and for each of the 6
-    # batches that hold uniform grids: 153 (t, x) callback calls in all.
-    assert len(shapes) == 36 + 1 + 6
-    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 153
+    assert len(batches) == 12 and calls == {"y_d": 24, "y_d_t": 48, "Ay_d": 48, "y_b": 12}
+    # The data residual is sampled once per cycle and once per batch, every
+    # batch holding an interval that no earlier batch did: 168 (t, x)
+    # callback calls in all.
+    assert len(shapes) == 36 + 12
+    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 168
 
     # Each uniform error equals a fresh solve on its grid, bit for bit.
     monkeypatch.undo()

@@ -209,7 +209,7 @@ def _flat_index_assembly(spec, smesh, tgrid, quad_order=3):
         [-coupling[q_free][:, p_free], a_qq[q_free][:, q_free]],
     ]).tocsr()
 
-    load = elliptic._data_loads(spec, mats, [tgrid], [None])[0].ravel()
+    load = elliptic._data_loads(spec, mats, [tgrid])[0].ravel()
     b_p = load[p_free] - coupling[p_free][:, q_fixed] @ q_fixed_values
     b_q = -(a_qq[q_free][:, q_fixed] @ q_fixed_values)
     return A, np.concatenate([b_p, b_q]), (p_free, q_free, q_fixed, q_fixed_values)
@@ -362,7 +362,7 @@ def test_data_load_puts_each_interval_on_its_own_time_hats():
     space_hats = np.full(sm.d + 1, sm.h)
     space_hats[[0, -1]] = sm.h / 2.0
     expected = np.outer(time_hats, space_hats)
-    np.testing.assert_allclose(elliptic._data_loads(spec, space, [tg], [None])[0], expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(elliptic._data_loads(spec, space, [tg])[0], expected, rtol=1e-13, atol=0.0)
 
 
 def _graded_towards_zero(bisections):
@@ -410,7 +410,7 @@ def test_a_batch_refines_only_the_system_that_misses():
     sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
     space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
     grids = [mesh.build_uniform_time_grid(1.0, 20), _graded_towards_zero(17), _graded_towards_zero(6)]
-    systems = elliptic.assemble_batch(spec, space, grids, [None] * 3)
+    systems = elliptic.assemble_batch(spec, space, grids)
     assert [_solved_once(system)[1] <= 1e-10 for system in systems] == [True, False, True]
     for system, batched in zip(systems, elliptic.solve_batch(systems)):
         alone = elliptic.solve_sparse(system)
@@ -441,7 +441,7 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
         mesh.build_time_grid([0.0, 0.05, 0.3, 0.35, 0.8, 1.0]),
         mesh.build_uniform_time_grid(1.0, 1),
     ]
-    systems = elliptic.assemble_batch(problem, space, grids, [None] * len(grids))
+    systems = elliptic.assemble_batch(problem, space, grids)
     for system, batched in zip(systems, elliptic.solve_batch(systems)):
         single = elliptic.assemble(problem, sm, system.dofmap.tgrid, space=space)
         alone = elliptic.solve_sparse(single)
@@ -449,6 +449,34 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
         assert batched.p.values.tobytes() == alone.p.values.tobytes()
         assert batched.q.values.tobytes() == alone.q.values.tobytes()
         assert batched.solver_residual == alone.solver_residual
+
+
+def test_a_batch_samples_each_distinct_interval_once():
+    # The grids share [0, 0.25] and [0.25, 0.5], and [0.5, 1] starts where
+    # [0.5, 0.75] does: five distinct intervals, sampled in one call at 3
+    # Gauss nodes in time and 3 per cell in space.
+    spec = problems.example2()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    points = []
+
+    def counted(t, x):
+        points.append(np.broadcast(t, x).size)
+        return spec.f(t, x)
+
+    counted_spec = replace(spec, f=counted)
+    points.clear()  # drop the spot check that construction ran
+    grids = [mesh.build_uniform_time_grid(1.0, 4), mesh.build_time_grid([0.0, 0.25, 0.5, 1.0])]
+    rows = {}
+    systems = elliptic.assemble_batch(counted_spec, space, grids, rows)
+    assert points == [5 * 3 * sm.d * 3] and len(rows) == 5
+    # A second batch with the same dict finds every interval there.
+    points.clear()
+    again = elliptic.assemble_batch(counted_spec, space, grids, rows)
+    assert points == []
+    for system, second in zip(systems, again):
+        alone = elliptic.assemble(spec, sm, system.dofmap.tgrid, space=space)
+        assert system.b.tobytes() == second.b.tobytes() == alone.b.tobytes()
 
 
 def test_a_solve_leaves_its_systems_load_unchanged():
@@ -472,7 +500,7 @@ def test_a_batch_checks_the_residual_contract_per_system():
     space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
     grids = [mesh.build_uniform_time_grid(1.0, 40), _graded_towards_zero(20), mesh.build_uniform_time_grid(1.0, 80)]
     with pytest.raises(elliptic.EllipticSolverError, match="contract is 1e-10"):
-        elliptic.solve_batch(elliptic.assemble_batch(spec, space, grids, [None] * 3))
+        elliptic.solve_batch(elliptic.assemble_batch(spec, space, grids))
 
 
 def test_a_zero_load_member_of_a_batch_keeps_the_absolute_contract():
@@ -480,8 +508,8 @@ def test_a_zero_load_member_of_a_batch_keeps_the_absolute_contract():
     zero = replace(spec, f=_zero, y_d=_zero, y_d_t=_zero, Ay_d=_zero, y_b=_zero_coefficient)
     sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
     space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
-    easy = elliptic.assemble_batch(spec, space, [mesh.build_uniform_time_grid(1.0, n) for n in (4, 9)], [None] * 2)
-    (empty,) = elliptic.assemble_batch(zero, space, [_graded_towards_zero(3)], [None])
+    easy = elliptic.assemble_batch(spec, space, [mesh.build_uniform_time_grid(1.0, n) for n in (4, 9)])
+    (empty,) = elliptic.assemble_batch(zero, space, [_graded_towards_zero(3)])
     assert not np.any(empty.b)
     sols = elliptic.solve_batch([easy[0], empty, easy[1]])
     assert sols[1].solver_residual == 0.0
