@@ -312,13 +312,13 @@ def adapt_loop(
         errors = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
     integrand = _Integrand(problem, smesh, quad_order)
 
-    # Live interval (t0, t1) -> its moments (e, None); bisected parents drop
-    # out.  tgrids keeps every cycle's grid for the reference route.
+    # Live interval key (t0, t1) -> its moments (e, None); bisected parents
+    # drop out.  tgrids keeps every cycle's grid for the reference route.
     cache: dict[tuple[float, float], tuple] = {}
     tgrids: list[TimeGrid] = []
     cycle = 0
     while True:
-        keys = list(zip(tgrid.taus[:-1].tolist(), tgrid.taus[1:].tolist()))
+        keys = tgrid.intervals
         fresh = [i for i, key in enumerate(keys) if key not in cache]
         starts, lengths = tgrid.taus[:-1][fresh], tgrid.deltas[fresh]
         t, w_t, _ = fem1d.time_quadrature(starts, lengths, quad_order, panels=_TIME_PANELS)
@@ -331,8 +331,8 @@ def adapt_loop(
             CycleRecord(
                 cycle=cycle,
                 n_intervals=tgrid.N,
-                taus=tgrid.taus.copy(),
-                eta_sq=ind.per_interval.copy(),
+                taus=tgrid.taus,
+                eta_sq=ind.per_interval,
                 eta_total=float(np.sqrt(ind.total)),
                 true_error=None,
                 uniform_error=None,

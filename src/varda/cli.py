@@ -394,13 +394,8 @@ class FieldCsv:
             yield rows[rows != 0].tobytes()
 
 
-def _write_mesh_txt(out: Path, smesh: mesh.SpatialMesh) -> None:
-    lines = [_fmt(x) for x in smesh.nodes]
-    _atomic_write(out / "mesh.txt", "\n".join(lines) + "\n")
-
-
-def _write_grid_txt(out: Path, name: str, tgrid: mesh.TimeGrid) -> None:
-    _atomic_write(out / name, mesh.format_time_grid(tgrid))
+def _write_nodes(path: Path, nodes: np.ndarray) -> None:
+    _atomic_write(path, "".join(_fmt(v) + "\n" for v in nodes))
 
 
 def _comparison_csv(rows: list[tuple[str, float | None, float]]) -> str:
@@ -448,8 +443,8 @@ def cmd_assimilate(cfg: RunConfig) -> int:
         _atomic_write(out / name, csv.format(field_))
     u_lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(smesh.nodes, result.u)]
     _atomic_write(out / "u.csv", "\n".join(u_lines) + "\n")
-    _write_grid_txt(out, "grid.txt", tgrid)
-    _write_mesh_txt(out, smesh)
+    _write_nodes(out / "grid.txt", tgrid.taus)
+    _write_nodes(out / "mesh.txt", smesh.nodes)
     summary = "\n".join(
         [
             f"rmse={_fmt(result.rmse)}",
@@ -479,11 +474,10 @@ def cmd_adapt(cfg: RunConfig) -> int:
     tgrid, history = adaptivity.adapt_loop(spec, smesh, acfg, quad_order=cfg.quad_order)
     out = _prepare_output_dir(cfg)
     _atomic_write(out / "history.csv", adaptivity.format_history_csv(history))
-    _write_grid_txt(out, "grid.txt", tgrid)
+    _write_nodes(out / "grid.txt", tgrid.taus)
     if cfg.snapshots:
         for rec in history.cycles:
-            snap = mesh.build_time_grid(rec.taus)
-            _write_grid_txt(out, f"grid_cycle{rec.cycle:03d}.txt", snap)
+            _write_nodes(out / f"grid_cycle{rec.cycle:03d}.txt", rec.taus)
     if cfg.record_reference:
         lines = ["N,eta_total,adaptive_error,uniform_error"] + [
             f"{rec.n_intervals},{_fmt(rec.eta_total)},{_fmt(rec.true_error)},{_fmt(rec.uniform_error)}"
@@ -540,7 +534,7 @@ def _reproduce_example3(cfg: RunConfig, out: Path) -> Path:
         smesh = space.smesh
         acfg = adaptivity.AdaptConfig(strategy="MAX", n_initial=5, n_max=30)
         tgrid, _ = adaptivity.adapt_loop(spec, smesh, acfg, quad_order=cfg.quad_order)
-        _write_grid_txt(out, f"grid_eps{eps:g}.txt", tgrid)
+        _write_nodes(out / f"grid_eps{eps:g}.txt", tgrid.taus)
         exact0 = exact_p(0.0, smesh.nodes)
         for label, grid in (("adaptive", tgrid), ("uniform", mesh.build_uniform_time_grid(spec.T, 30))):
             system = elliptic.assemble(spec, smesh, grid, quad_order=cfg.quad_order, space=space)

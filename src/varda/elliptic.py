@@ -184,14 +184,14 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
 
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
     function, summed from the intervals' _hat_rows, which rows maps from each
-    interval (t0, t1).  The distinct intervals that rows lacks are sampled
-    here, in one call, and added to it.  An interval's rows depend on its t0
-    and t1 only (t1 - t0 is bitwise np.diff(taus)), so rows changes no bit
-    of a load.  Initial term: integral of (y_b - y_d(0)) against the t=0
+    key of TimeGrid.intervals.  The distinct intervals that rows lacks are
+    sampled here, in one call, and added to it.  An interval's rows depend on
+    its t0 and t1 only (t1 - t0 is bitwise deltas), so rows changes no bit of
+    a load.  Initial term: integral of (y_b - y_d(0)) against the t=0
     hats, sampled once.
     """
     quad, rows = space.quad, {} if rows is None else rows
-    keys = [list(zip(g.taus[:-1].tolist(), g.taus[1:].tolist())) for g in tgrids]
+    keys = [g.intervals for g in tgrids]
     missing = [key for key in dict.fromkeys(key for grid in keys for key in grid) if key not in rows]
     if missing:
         t0, t1 = np.array(missing).T

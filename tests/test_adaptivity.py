@@ -256,6 +256,8 @@ def test_adapt_loop_grows_one_interval_per_cycle():
     counts = [rec.n_intervals for rec in history.cycles]
     assert counts == list(range(5, 13))
     assert tgrid.N == 12
+    # Records keep the loop's read-only arrays rather than copies.
+    assert not any(rec.taus.flags.writeable or rec.eta_sq.flags.writeable for rec in history.cycles)
     # Bisection only inserts nodes, never moves them.
     assert set(np.round(np.linspace(0.0, 1.0, 6), 12)) <= set(np.round(tgrid.taus, 12))
 

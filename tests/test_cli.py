@@ -351,6 +351,23 @@ def test_adapt_on_consistent_data_writes_a_single_row(tmp_path):
     assert read_grid(out / "grid.txt").N == 5
 
 
+def test_grid_file_round_trip(tmp_path):
+    out = tmp_path / "adapt"
+    assert run("adapt", "problem.name=example2", "grid.d=8", "adapt.n_max=9", f"output_dir={out}") == 0
+    smesh = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    tg, _ = adaptivity.adapt_loop(problems.example2(), smesh, adaptivity.AdaptConfig(n_max=9))
+    back = read_grid(out / "grid.txt")
+    np.testing.assert_array_equal(back.taus, tg.taus)
+
+
+def test_grid_format_is_full_precision(tmp_path):
+    out = tmp_path / "run"
+    assert run("assimilate", "problem.name=consistent", "grid.d=3", "grid.N=3", f"output_dir={out}") == 0
+    for name in ("grid.txt", "mesh.txt"):
+        text = (out / name).read_text()
+        assert text.splitlines()[1] == f"{1.0 / 3.0:.17g}"
+
+
 def test_adapt_snapshots_and_reference_errors(tmp_path):
     out = tmp_path / "adapt"
     code = run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varda import mesh
+from varda import adaptivity, mesh, problems
 
 
 def test_spatial_mesh_nodes_and_width():
@@ -19,7 +19,11 @@ def test_spatial_mesh_rejects_bad_input():
     with pytest.raises(ValueError):
         mesh.build_spatial_mesh(1.0, 0.0, 4)
     with pytest.raises(ValueError):
-        mesh.SpatialMesh(0.0, 1.0, 2, np.array([0.0, 0.7, 1.0]), 0.5)
+        mesh.SpatialMesh(0.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        mesh.SpatialMesh(float("nan"), 1.0, 4)
+    with pytest.raises(ValueError):
+        mesh.SpatialMesh(0.0, float("nan"), 4)
 
 
 def test_uniform_time_grid():
@@ -38,7 +42,15 @@ def test_time_grid_rejects_bad_nodes():
     with pytest.raises(ValueError):
         mesh.build_time_grid([0.0])
     with pytest.raises(ValueError):
+        mesh.build_time_grid([[0.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError):
+        mesh.build_time_grid([0.0, float("nan"), 1.0])
+    with pytest.raises(ValueError):
         mesh.build_uniform_time_grid(-1.0, 4)
+    with pytest.raises(ValueError):
+        mesh.build_uniform_time_grid(0.0, 4)
+    with pytest.raises(ValueError):
+        mesh.build_uniform_time_grid(1.0, 0)
 
 
 def test_grids_are_immutable():
@@ -83,15 +95,24 @@ def test_field_shape_is_validated():
     assert field.values.shape == (4, 6)
 
 
-def test_grid_file_round_trip(tmp_path):
-    tg = mesh.build_time_grid([0.0, 1.0 / 3.0, 0.5, 1.0])
-    path = tmp_path / "grid.txt"
-    path.write_text(mesh.format_time_grid(tg))
-    back = mesh.build_time_grid(np.loadtxt(path, ndmin=1))
-    np.testing.assert_array_equal(back.taus, tg.taus)
-
-
-def test_grid_format_is_full_precision():
-    tg = mesh.build_time_grid([0.0, 1.0 / 3.0, 1.0])
-    text = mesh.format_time_grid(tg)
-    assert text.splitlines()[1] == f"{1.0 / 3.0:.17g}"
+def test_grids_derive_their_values_from_what_defines_them():
+    # Every grid of an example2 5->40 adapt run, then grids bisected at random marks.
+    _, history = adaptivity.adapt_loop(
+        problems.example2(), mesh.build_spatial_mesh(0.0, 1.0, 20), adaptivity.AdaptConfig(n_max=40)
+    )
+    grids = [mesh.TimeGrid(rec.taus) for rec in history.cycles]
+    rng, grid = np.random.default_rng(0), mesh.build_uniform_time_grid(2.5, 3)
+    for _ in range(6):
+        grid = mesh.bisect_intervals(grid, set(rng.integers(0, grid.N, size=3).tolist()))
+        grids.append(grid)
+    assert len(grids) == 36 + 6
+    for grid in grids:
+        assert grid.deltas.tobytes() == np.diff(grid.taus).tobytes()
+        assert grid.T == grid.taus[-1]
+        assert grid.intervals == tuple(zip(grid.taus[:-1].tolist(), grid.taus[1:].tolist()))
+        assert not grid.taus.flags.writeable and not grid.deltas.flags.writeable
+    for x_left, x_right, d in ((0.0, 1.0, 40), (0.1, 0.7, 3), (-2.0, 3.3, 7), (0.3, 1.9, 200)):
+        sm = mesh.SpatialMesh(x_left, x_right, d)
+        assert sm.nodes.tobytes() == np.linspace(x_left, x_right, d + 1).tobytes()
+        assert sm.h == (x_right - x_left) / d
+        assert not sm.nodes.flags.writeable
