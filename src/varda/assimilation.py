@@ -106,7 +106,10 @@ class ProblemSpec:
     are arrays that broadcast against each other.  fem1d.sample calls a
     (t, x) callback once for a whole tensor grid, so its values must be
     elementwise in (t, x): no reduction over an axis, no math.exp(t).  A
-    scalar or x-shaped result is broadcast; values must be finite.
+    scalar or x-shaped result is broadcast; values must be finite.  Form the
+    factors of t alone and of x alone first, then take one product on the
+    grid: each further product is a full pass over t.size * x.size values
+    (example2's data residual at d=N=200 took 10 ms with 11, 4 ms with 4).
 
     y_d_t is the time derivative of y_d and Ay_d is -(a y_d')' + a0 y_d.
     Construction raises ValueError unless alpha, T and the domain are valid,

@@ -67,16 +67,8 @@ def _constant(value: float) -> Callable:
     return coefficient
 
 
-def _unit_square(alpha: float, nu: float, f, y_d, y_d_t, y_b) -> ProblemSpec:
-    """A catalog problem: a = nu, a0 = 0 and T = 1 on the domain (0, 1).
-
-    Every catalog y_d is sin(pi x) times a function of t, so A y_d = nu pi^2 y_d.
-    """
-    rate = np.pi * np.pi * nu
-
-    def ay_d(t, x):
-        return rate * y_d(t, x)
-
+def _unit_square(alpha: float, nu: float, f, y_d, y_d_t, ay_d, y_b) -> ProblemSpec:
+    """A catalog problem: a = nu, a0 = 0 and T = 1 on the domain (0, 1)."""
     return ProblemSpec(
         a=_constant(nu),
         a0=_constant(0.0),
@@ -107,7 +99,10 @@ def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
         return np.sin(np.pi * x) * np.exp(-rate * t)
 
     def y_d_t(t, x):
-        return -rate * y_d(t, x)
+        return np.sin(np.pi * x) * (-rate * np.exp(-rate * t))
+
+    def ay_d(t, x):
+        return np.sin(np.pi * x) * (rate * np.exp(-rate * t))
 
     if variant == "i":
         def y_b(x):
@@ -116,7 +111,17 @@ def example1(variant: str, alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
         def y_b(x):
             return np.sin(2.0 * np.pi * x)
 
-    return _unit_square(alpha, nu, _zero, y_d, y_d_t, y_b)
+    return _unit_square(alpha, nu, _zero, y_d, y_d_t, ay_d, y_b)
+
+
+def _pulse(t, eps: float):
+    """example2's Lorentzian in t, centred at t = 1/6: the ramp's derivative."""
+    return (1.0 / np.pi) * eps / (eps * eps + (t - 1.0 / 6.0) ** 2)
+
+
+def _arctan_ramp(t, eps: float):
+    """example2's ramp in t, from 1 to 2 across t = 1/6."""
+    return (1.0 / np.pi) * np.arctan((t - 1.0 / 6.0) / eps) + 1.0
 
 
 def example2_inflow(nu: float = 0.1, eps: float = 0.01) -> Callable:
@@ -129,8 +134,7 @@ def example2_inflow(nu: float = 0.1, eps: float = 0.01) -> Callable:
     rate = np.pi * np.pi * nu
 
     def inflow(t, x):
-        pulse = (1.0 / np.pi) * eps / (eps * eps + (t - 1.0 / 6.0) ** 2)
-        return 2.0 * np.sin(np.pi * x) * np.exp(-rate * t) * pulse
+        return 2.0 * np.sin(np.pi * x) * (np.exp(-rate * t) * _pulse(t, eps))
 
     return inflow
 
@@ -140,8 +144,7 @@ def example2_data(nu: float = 0.1, eps: float = 0.01) -> Callable:
     rate = np.pi * np.pi * nu
 
     def y_d(t, x):
-        ramp = (1.0 / np.pi) * np.arctan((t - 1.0 / 6.0) / eps) + 1.0
-        return 2.0 * np.sin(np.pi * x) * np.exp(-rate * t) * ramp
+        return 2.0 * np.sin(np.pi * x) * (np.exp(-rate * t) * _arctan_ramp(t, eps))
 
     return y_d
 
@@ -163,15 +166,19 @@ def example2(alpha: float = 0.01, nu: float = 0.1, eps: float = 0.01) -> Problem
     _require_positive(nu=nu, eps=eps)
     rate = np.pi * np.pi * nu
     y_d = example2_data(nu, eps)
-    inflow = example2_inflow(nu, eps)
 
+    # y_d = 2 sin(pi x) e^{-rate t} ramp(t) with ramp' = pulse, factored as in y_d.
     def y_d_t(t, x):
-        return -rate * y_d(t, x) + inflow(t, x)
+        decay = np.exp(-rate * t)
+        return 2.0 * np.sin(np.pi * x) * (decay * (_pulse(t, eps) - rate * _arctan_ramp(t, eps)))
+
+    def ay_d(t, x):
+        return 2.0 * np.sin(np.pi * x) * (rate * np.exp(-rate * t) * _arctan_ramp(t, eps))
 
     def y_b(x):
         return np.sin(np.pi * x)
 
-    return _unit_square(alpha, nu, _zero, y_d, y_d_t, y_b)
+    return _unit_square(alpha, nu, _zero, y_d, y_d_t, ay_d, y_b)
 
 
 def _ramp(t, m: float, eps: float, order: int) -> list:
@@ -264,10 +271,13 @@ def example3(
     def y_d_t(t, x):
         return bump_sigma_dtt(t, m, eps) * np.sin(np.pi * x)
 
+    def ay_d(t, x):
+        return rate * y_d(t, x)
+
     def y_b(x):
         return (1.0 / alpha + rate) * sigma0 * np.sin(np.pi * x)
 
-    return _unit_square(alpha, nu, f, y_d, y_d_t, y_b), exact_p
+    return _unit_square(alpha, nu, f, y_d, y_d_t, ay_d, y_b), exact_p
 
 
 def consistent_problem(alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:

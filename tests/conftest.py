@@ -71,3 +71,36 @@ def variable_coefficient_problem():
         y_d_t=_zero,
         Ay_d=_zero,
     )
+
+
+def unfactored_data(name, nu=0.1, eps=0.01):
+    """example1's or example2's y_d, y_d_t and Ay_d as products taken left to right.
+
+    The catalog's closed forms, written without factoring: each product is a
+    pass over the tensor grid, y_d_t and Ay_d reuse y_d, and example2's y_d_t
+    adds its inflow.  They agree with the catalog's one-product callbacks to
+    a few ulps, so tests use them as an independent reference.
+    """
+    rate = np.pi * np.pi * nu
+    if name == "example1":
+        def y_d(t, x):
+            return np.sin(np.pi * x) * np.exp(-rate * t)
+
+        def y_d_t(t, x):
+            return -rate * y_d(t, x)
+    else:
+        def y_d(t, x):
+            ramp = (1.0 / np.pi) * np.arctan((t - 1.0 / 6.0) / eps) + 1.0
+            return 2.0 * np.sin(np.pi * x) * np.exp(-rate * t) * ramp
+
+        def inflow(t, x):
+            pulse = (1.0 / np.pi) * eps / (eps * eps + (t - 1.0 / 6.0) ** 2)
+            return 2.0 * np.sin(np.pi * x) * np.exp(-rate * t) * pulse
+
+        def y_d_t(t, x):
+            return -rate * y_d(t, x) + inflow(t, x)
+
+    def ay_d(t, x):
+        return rate * y_d(t, x)
+
+    return {"y_d": y_d, "y_d_t": y_d_t, "Ay_d": ay_d}

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import variable_coefficient_problem
+from conftest import unfactored_data, variable_coefficient_problem
 
 from varda import adaptivity, elliptic, fem1d, mesh, problems
 from varda.adaptivity import AdaptConfig, AdaptHistory, CycleRecord, ErrorIndicators
@@ -409,6 +409,23 @@ def test_recording_reference_errors_leaves_the_grids_unchanged(problem, strategy
         assert rec.eta_sq.tobytes() == ref.eta_sq.tobytes()
         assert rec.eta_total == ref.eta_total
         assert rec.true_error is None and ref.true_error is not None
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("strategy, n_max", [("MAX", 40), ("DOERFLER", 80)])
+def test_factored_example2_marks_the_same_intervals(strategy, n_max, nu):
+    # The catalog's one-product callbacks move the data residual by a few
+    # ulps; the marks, and so every grid the loop writes, must not move.
+    spec = problems.example2(nu=nu)
+    unfactored = replace(spec, **unfactored_data("example2", nu=nu))
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
+    cfg = AdaptConfig(strategy=strategy, n_initial=5, n_max=n_max)
+    _, factored_history = adaptivity.adapt_loop(spec, sm, cfg)
+    _, unfactored_history = adaptivity.adapt_loop(unfactored, sm, cfg)
+    assert len(factored_history.cycles) == len(unfactored_history.cycles) > 2
+    for new, old in zip(factored_history.cycles, unfactored_history.cycles):
+        assert new.taus.tobytes() == old.taus.tobytes()
+    assert factored_history.cycles[-1].taus.size - 1 >= n_max
 
 
 def test_adapt_loop_samples_each_interval_once():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import unfactored_data
 from hypothesis import strategies as st
 
 from varda import problems
@@ -99,6 +100,31 @@ def test_ramp_kernel_matches_the_per_derivative_formulas(m, eps):
     assert np.array_equal(spec.y_d(tt, xx), s1 * sine)
     assert np.array_equal(spec.y_d_t(tt, xx), s2 * sine)
     assert np.array_equal(spec.Ay_d(tt, xx), RATE * (s1 * sine))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("example1", {"nu": 0.1}),
+        ("example1", {"nu": 0.05}),
+        ("example2", {"nu": 0.1, "eps": 0.01}),
+        ("example2", {"nu": 0.05, "eps": 0.25}),
+        ("example2", {"nu": 0.2, "eps": 0.002}),
+    ],
+)
+def test_factored_callbacks_match_the_unfactored_closed_forms(name, params):
+    # One tensor-grid product per callback only reorders the products, so each
+    # value stays within 4 ulps of the grid's largest |value|.  The grid holds
+    # both ends of each axis and the pulse's centre t = 1/6.
+    spec = problems.example1("i", **params) if name == "example1" else problems.example2(**params)
+    want = unfactored_data(name, **params)
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 601), [1.0 / 6.0]]))[:, None]
+    x = np.linspace(0.0, 1.0, 257)[None, :]
+    assert t[0, 0] == 0.0 and t[-1, 0] == 1.0 and 1.0 / 6.0 in t
+    for field in ("y_d", "y_d_t", "Ay_d"):
+        got, ref = getattr(spec, field)(t, x), want[field](t, x)
+        assert got.shape == ref.shape == (t.size, x.size)
+        assert np.abs(got - ref).max() <= 4.0 * np.spacing(np.abs(ref).max()), field
 
 
 def test_example1_data_solve_the_model():
