@@ -147,11 +147,6 @@ class AssembledSystem:
     b: np.ndarray
     dofmap: DofMap
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A: the batch of this one system, on its lanes (see _Batch.apply)."""
-        batch = _Batch([self])
-        return batch.vector(batch.apply(batch.lanes([x])))[0]
-
     @cached_property
     def A(self) -> sp.csr_array:
         """The global sparse operator T_M (x) M_I + T_K (x) K_I, built on first read; no run reads it."""
@@ -407,8 +402,9 @@ def solve_sparse(system: AssembledSystem) -> EllipticSolution:
     """Direct tensor-product solve, refined once only if it misses the contract: solve_batch of one.
 
     The contract is a relative residual of at most 1e-10 (absolute 1e-12
-    for a zero load) on the system's own vector, from the lanes' matrix-free
-    product that system.apply shares; anything worse, or a residual that is
-    not a number, raises EllipticSolverError instead of an inaccurate solution.
+    for a zero load) on the system's own vector, from the matrix-free product
+    on the batch's lanes (see _Batch.apply); anything worse, or a residual
+    that is not a number, raises EllipticSolverError instead of an
+    inaccurate solution.
     """
     return solve_batch([system])[0]

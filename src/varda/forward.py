@@ -1,13 +1,12 @@
-"""Time-stepping solvers for the state equation and its adjoint, plus a
-dense least-squares oracle.
+"""Time-stepping solver for the state equation, plus a dense least-squares
+oracle.
 
 These are deliberately conventional: a one-parameter theta scheme marching
-the heat-type state equation forward and the adjoint equation backward.
-They provide the assimilated trajectory, optimality cross-checks, and an
-independent brute-force minimizer on tiny grids that the space-time solver
-can be tested against.
+the heat-type state equation forward.  They provide the assimilated
+trajectory and an independent brute-force minimizer on tiny grids that the
+space-time solver can be tested against.
 
-The marches and the oracle take the run's fem1d.SpatialOperatorMatrices,
+The march and the oracle take the run's fem1d.SpatialOperatorMatrices,
 built once per run and shared by every solve, replay and oracle on its
 mesh, and march in its eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I.
 With y = V z on the interior nodes and g the modal consistent mass load of
@@ -17,15 +16,8 @@ the source, a step over an interval dt is one division per mode:
              / (1 + theta dt lam).
 
 Each eigenvalue is exact only to about eps * max(lam), an error the slow
-modes would compound step after step, so every march re-marches its nodal
+modes would compound step after step, so the march re-marches its nodal
 residual once: one step of iterative refinement.
-
-Adjoint source convention: stepping from time node j+1 down to j uses
-theta * g(j+1) + (1 - theta) * g(j).  With theta = 1 the backward march is
-then the exact transpose of the forward implicit Euler map in the mass
-inner product, provided the time quadrature puts weight delta_{j-1} on node
-j and none on node 0; the duality property test relies on this.  At
-theta = 0.5 the convention coincides with the usual trapezoid rule.
 """
 
 from __future__ import annotations
@@ -44,9 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ThetaSchemeConfig",
     "solve_state",
-    "solve_adjoint_classic",
     "kkt_oracle",
-    "optimality_residual",
     "trapezoid_time_weights",
 ]
 
@@ -65,21 +55,17 @@ class ThetaSchemeConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _modal_march(
-    space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, source, start, backward: bool
-) -> np.ndarray:
+def _modal_march(space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, source, start) -> np.ndarray:
     """Interior values, one row per time node, of the theta march.
 
     source holds the nodal source values, one row per time node; start holds
-    the interior values at t = 0, or at t = T when marching backward.
+    the interior values at t = 0.
     """
     lam, V = space.modes
     (mass, stiffness), theta = space.inner_bands, cfg.theta
     load = fem1d.tridiag_dot(*space.m_band, source.T).T[:, 1:-1]
-    push = cfg.tgrid.deltas[:, None] * (theta * load[1:] + (1.0 - theta) * load[:-1])
-    # The adjoint is the same march on the time-reversed arrays.
-    order = slice(None, None, -1) if backward else slice(None)
-    dt, push = cfg.tgrid.deltas[order, None], push[order]
+    dt = cfg.tgrid.deltas[:, None]
+    push = dt * (theta * load[1:] + (1.0 - theta) * load[:-1])
     keep, gain = 1.0 - (1.0 - theta) * dt * lam, 1.0 + theta * dt * lam
 
     def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -95,7 +81,7 @@ def _modal_march(
     residual = push - fem1d.tridiag_dot(*mass, (y[1:] - y[:-1]).T).T
     residual -= dt * fem1d.tridiag_dot(*stiffness, y_theta.T).T
     y += march(residual, np.zeros_like(start))
-    return y[order]
+    return y
 
 
 def solve_state(
@@ -122,30 +108,8 @@ def solve_state(
     tgrid = cfg.tgrid
     f_nodal = fem1d.sample(problem.f, tgrid.taus, smesh.nodes)
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
-    values[:, 1:-1] = _modal_march(space, cfg, f_nodal, u0[1:-1], backward=False)
+    values[:, 1:-1] = _modal_march(space, cfg, f_nodal, u0[1:-1])
     values[0] = u0
-    return SpaceTimeField(tgrid, smesh, values)
-
-
-def solve_adjoint_classic(
-    problem: "ProblemSpec",
-    y: SpaceTimeField,
-    cfg: ThetaSchemeConfig,
-    space: fem1d.SpatialOperatorMatrices,
-) -> SpaceTimeField:
-    """March the adjoint equation backward from p(T) = 0.
-
-    The source is the misfit y - y_d; see the module docstring for how it
-    is weighted across each step.  y must live on cfg's time grid and on
-    the mesh of space.
-    """
-    tgrid, smesh = cfg.tgrid, space.smesh
-    same = np.array_equal(y.tgrid.taus, tgrid.taus) and np.array_equal(y.smesh.nodes, smesh.nodes)
-    if not same:
-        raise ValueError("trajectory, scheme config and spatial operator live on different grids")
-    misfit = y.values - fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes)
-    values = np.zeros((tgrid.N + 1, smesh.d + 1))
-    values[:, 1:-1] = _modal_march(space, cfg, misfit, np.zeros(smesh.d - 1), backward=True)
     return SpaceTimeField(tgrid, smesh, values)
 
 
@@ -188,7 +152,7 @@ def kkt_oracle(
 
     # S[t, k] is the interior state at time node t from the k-th interior hat.
     no_source = np.zeros((tgrid.N + 1, n_x))
-    S = np.stack([_modal_march(space, cfg, no_source, e, False) for e in np.eye(smesh.d - 1)], 1)
+    S = np.stack([_modal_march(space, cfg, no_source, e) for e in np.eye(smesh.d - 1)], 1)
     offset = solve_state(problem, np.zeros(n_x), cfg, space).values
     misfit = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes) - offset
     w_t = trapezoid_time_weights(tgrid)
@@ -201,22 +165,3 @@ def kkt_oracle(
     u[1:-1] = np.linalg.solve(G, rhs)
     return u
 
-
-def optimality_residual(
-    problem: "ProblemSpec",
-    u,
-    cfg: ThetaSchemeConfig,
-    space: fem1d.SpatialOperatorMatrices,
-) -> float:
-    """Mass-norm gap between u and the control its own adjoint implies.
-
-    Replays the state from u, solves the classic adjoint, and measures
-    || u - (y_b - p(0)/alpha) || in the spatial L2 norm.  Zero for an
-    exact discrete minimizer of the matching scheme.
-    """
-    u = np.asarray(u, dtype=float)
-    y = solve_state(problem, u, cfg, space)
-    p = solve_adjoint_classic(problem, y, cfg, space)
-    y_b_nodal = fem1d._coefficient_at(problem.y_b, space.smesh.nodes)
-    gap = (u - (y_b_nodal - p.values[0] / problem.alpha))[1:-1]
-    return float(np.sqrt(gap @ fem1d.tridiag_dot(*space.inner_bands[0], gap)))

@@ -259,6 +259,7 @@ def test_config_precedence_file_env_override_flag(tmp_path, monkeypatch):
 
 
 def test_validation_failures_exit_with_code_one(tmp_path, capsys):
+    (tmp_path / "a_file").write_text("kept\n")
     cases = [
         ("assimilate", "problem.name=example9"),
         ("assimilate", "grid.d=1"),
@@ -282,6 +283,8 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
          f"output_dir={tmp_path / 'load'}"),
         ("adapt", "problem.name=example3", "problem.nu=1e100", "adapt.n_max=8",
          "adapt.record_reference=true", f"output_dir={tmp_path / 'load'}"),
+        # The output directory is an existing file.
+        ("assimilate", "grid.d=4", "grid.N=4", "--output-dir", str(tmp_path / "a_file")),
     ]
     for argv in cases:
         assert run(*argv) == 1, argv
@@ -289,6 +292,7 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
     assert not (tmp_path / "nan" / "summary.txt").exists()
     assert not (tmp_path / "overflow" / "history.csv").exists()
     assert not (tmp_path / "load").exists()
+    assert (tmp_path / "a_file").read_text() == "kept\n"
     # Messages name the config key or the parameter that was set.
     named = [
         (("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
