@@ -167,7 +167,6 @@ def assimilate(
     smesh: SpatialMesh,
     tgrid: TimeGrid,
     *,
-    theta: float = 0.5,
     space: fem1d.SpatialOperatorMatrices | None = None,
 ) -> AssimilationResult:
     """Run the full pipeline on the given grids.
@@ -175,7 +174,7 @@ def assimilate(
     Solves the space-time system for the adjoint pair (p, q), forms the
     optimal initial state u = y_b - p(0)/alpha at interior nodes (zero on
     the boundary, matching the homogeneous state space), replays the state
-    equation from u with a theta scheme, and scores the trajectory against
+    equation from u by Crank-Nicolson, and scores the trajectory against
     y_d.  space is the run's spatial operator on smesh, which fixes the
     quadrature order; without one, a space of order 3 is built.
     """
@@ -189,8 +188,7 @@ def assimilate(
     inner = smesh.interior
     u[inner] = fem1d._coefficient_at(problem.y_b, smesh.nodes[inner]) - p0[inner] / problem.alpha
 
-    cfg = forward.ThetaSchemeConfig(theta=theta, tgrid=tgrid)
-    y = forward.solve_state(problem, u, cfg, space)
+    y = forward.solve_state(problem, u, tgrid, space)
 
     return AssimilationResult(
         p=sol.p,

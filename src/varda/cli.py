@@ -109,7 +109,6 @@ class RunConfig:
     snapshots: bool = False
     record_reference: bool = False
     quad_order: int = 3
-    theta_scheme: float = 0.5
     output_dir: str = "out"
     levels: tuple[int, ...] = (10, 20, 40)
 
@@ -143,7 +142,6 @@ _KEYS = {
     "adapt.snapshots": ("snapshots", _parse_bool),
     "adapt.record_reference": ("record_reference", _parse_bool),
     "quad_order": ("quad_order", int),
-    "theta_scheme": ("theta_scheme", float),
     "output_dir": ("output_dir", str),
     "oracle.levels": ("levels", _parse_levels),
 }
@@ -194,8 +192,6 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"grid.N must be at least 1, got {cfg.N}")
     if cfg.quad_order not in (1, 2, 3):
         raise CliError(f"quad_order must be 1, 2 or 3, got {cfg.quad_order}")
-    if not 0.0 <= cfg.theta_scheme <= 1.0:
-        raise CliError(f"theta_scheme must lie in [0, 1], got {cfg.theta_scheme}")
     if len(cfg.levels) < 2 or any(n < 2 for n in cfg.levels):
         raise CliError(f"oracle.levels must list at least two integers >= 2, got {cfg.levels}")
     allowed = problems.CATALOG[cfg.name]
@@ -420,12 +416,11 @@ def _build_space(spec, d: int, cfg: RunConfig) -> fem1d.SpatialOperatorMatrices:
     return fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0, quad_order=cfg.quad_order)
 
 
-def _baseline_state(spec, space: fem1d.SpatialOperatorMatrices, tgrid: mesh.TimeGrid, cfg: RunConfig):
+def _baseline_state(spec, space: fem1d.SpatialOperatorMatrices, tgrid: mesh.TimeGrid):
     """March the model from the background guess without any assimilation."""
     u0 = fem1d._coefficient_at(spec.y_b, space.smesh.nodes).copy()
     u0[[0, -1]] = 0.0
-    scheme = forward.ThetaSchemeConfig(theta=cfg.theta_scheme, tgrid=tgrid)
-    return forward.solve_state(spec, u0, scheme, space)
+    return forward.solve_state(spec, u0, tgrid, space)
 
 
 def _max_misfit(field_: mesh.SpaceTimeField, y_ref) -> float:
@@ -437,7 +432,7 @@ def cmd_assimilate(cfg: RunConfig) -> int:
     spec, _ = resolve_problem(cfg)
     space = _build_space(spec, cfg.d, cfg)
     smesh, tgrid = space.smesh, mesh.build_uniform_time_grid(spec.T, cfg.N)
-    result = assimilation.assimilate(spec, smesh, tgrid, theta=cfg.theta_scheme, space=space)
+    result = assimilation.assimilate(spec, smesh, tgrid, space=space)
     out, csv = _prepare_output_dir(cfg), FieldCsv()
     for name, field_ in (("p.csv", result.p), ("q.csv", result.q), ("y.csv", result.y)):
         _atomic_write(out / name, csv.format(field_))
@@ -495,13 +490,11 @@ def _reproduce_table1(cfg: RunConfig, out: Path) -> Path:
         spec, _ = resolve_problem(replace(cfg, name=name, alpha=None, eps=None, m=None))
         space = _build_space(spec, cfg.d, cfg)
         tgrid = mesh.build_uniform_time_grid(spec.T, cfg.N)
-        baseline = _baseline_state(spec, space, tgrid, cfg)
+        baseline = _baseline_state(spec, space, tgrid)
         rows.append((f"{name} baseline", targets["baseline"], assimilation.rmse(baseline, spec.y_d)))
         for alpha in _TABLE1_ALPHAS:
             # replace keeps the a, a0 callables, so the sweep shares one space.
-            result = assimilation.assimilate(
-                replace(spec, alpha=alpha), space.smesh, tgrid, theta=cfg.theta_scheme, space=space
-            )
+            result = assimilation.assimilate(replace(spec, alpha=alpha), space.smesh, tgrid, space=space)
             rows.append((f"{name} alpha={alpha:g}", targets[alpha], result.rmse))
     path = out / "table1.csv"
     _atomic_write(path, _comparison_csv(rows))
@@ -513,8 +506,8 @@ def _reproduce_example2(cfg: RunConfig, out: Path) -> Path:
     spec, _ = resolve_problem(replace(cfg, name="example2", alpha=alpha, m=None))
     space = _build_space(spec, cfg.d, cfg)
     tgrid = mesh.build_uniform_time_grid(spec.T, cfg.N)
-    baseline = _baseline_state(spec, space, tgrid, cfg)
-    result = assimilation.assimilate(spec, space.smesh, tgrid, theta=cfg.theta_scheme, space=space)
+    baseline = _baseline_state(spec, space, tgrid)
+    result = assimilation.assimilate(spec, space.smesh, tgrid, space=space)
     rows = [
         ("example2 rmse_before", _EXAMPLE2_TARGETS["rmse_before"], assimilation.rmse(baseline, spec.y_d)),
         ("example2 rmse_after", _EXAMPLE2_TARGETS["rmse_after"], result.rmse),
@@ -572,7 +565,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     for n in cfg.levels:
         space = _build_space(base_spec, n, cfg)
         tgrid = mesh.build_uniform_time_grid(base_spec.T, n)
-        result = assimilation.assimilate(base_spec, space.smesh, tgrid, theta=cfg.theta_scheme, space=space)
+        result = assimilation.assimilate(base_spec, space.smesh, tgrid, space=space)
         u_oracle = forward.kkt_oracle(base_spec, space, tgrid)
         diffs.append(
             float(np.linalg.norm(result.u - u_oracle) / np.linalg.norm(u_oracle))
@@ -659,12 +652,13 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # LinAlgError subclasses ValueError, so the solver branch comes first.
     except (elliptic.EllipticSolverError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Time-stepping solver for the state equation, plus a dense least-squares
 oracle.
 
-These are deliberately conventional: a one-parameter theta scheme marching
+These are deliberately conventional: the Crank-Nicolson scheme marching
 the heat-type state equation forward.  They provide the assimilated
 trajectory and an independent brute-force minimizer on tiny grids that the
 space-time solver can be tested against.
@@ -12,8 +12,7 @@ mesh, and march in its eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I.
 With y = V z on the interior nodes and g the modal consistent mass load of
 the source, a step over an interval dt is one division per mode:
 
-    z(j+1) = ((1 - (1-theta) dt lam) z(j) + dt (theta g(j+1) + (1-theta) g(j)))
-             / (1 + theta dt lam).
+    z(j+1) = ((1 - dt lam/2) z(j) + dt (g(j+1) + g(j))/2) / (1 + dt lam/2).
 
 Each eigenvalue is exact only to about eps * max(lam), an error the slow
 modes would compound step after step, so the march re-marches its nodal
@@ -22,7 +21,6 @@ residual once: one step of iterative refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +32,6 @@ if TYPE_CHECKING:
     from .assimilation import ProblemSpec
 
 __all__ = [
-    "ThetaSchemeConfig",
     "solve_state",
     "kkt_oracle",
     "trapezoid_time_weights",
@@ -43,30 +40,18 @@ __all__ = [
 ORACLE_SIZE_CAP = 2000
 
 
-@dataclass(frozen=True)
-class ThetaSchemeConfig:
-    """Scheme parameter and the grid to march on (0.5 trapezoid, 1 implicit)."""
-
-    theta: float
-    tgrid: TimeGrid
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-
-
-def _modal_march(space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, source, start) -> np.ndarray:
-    """Interior values, one row per time node, of the theta march.
+def _modal_march(space: fem1d.SpatialOperatorMatrices, tgrid: TimeGrid, source, start) -> np.ndarray:
+    """Interior values, one row per time node, of the Crank-Nicolson march.
 
     source holds the nodal source values, one row per time node; start holds
     the interior values at t = 0.
     """
     lam, V = space.modes
-    (mass, stiffness), theta = space.inner_bands, cfg.theta
+    mass, stiffness = space.inner_bands
     load = fem1d.tridiag_dot(*space.m_band, source.T).T[:, 1:-1]
-    dt = cfg.tgrid.deltas[:, None]
-    push = dt * (theta * load[1:] + (1.0 - theta) * load[:-1])
-    keep, gain = 1.0 - (1.0 - theta) * dt * lam, 1.0 + theta * dt * lam
+    dt = tgrid.deltas[:, None]
+    push = dt * (0.5 * load[1:] + 0.5 * load[:-1])
+    keep, gain = 1.0 - 0.5 * dt * lam, 1.0 + 0.5 * dt * lam
 
     def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
         z = [V.T @ fem1d.tridiag_dot(*mass, y0)]
@@ -77,9 +62,9 @@ def _modal_march(space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, s
         return y
 
     y = march(push, start)
-    y_theta = theta * y[1:] + (1.0 - theta) * y[:-1]
+    y_mid = 0.5 * y[1:] + 0.5 * y[:-1]
     residual = push - fem1d.tridiag_dot(*mass, (y[1:] - y[:-1]).T).T
-    residual -= dt * fem1d.tridiag_dot(*stiffness, y_theta.T).T
+    residual -= dt * fem1d.tridiag_dot(*stiffness, y_mid.T).T
     y += march(residual, np.zeros_like(start))
     return y
 
@@ -87,10 +72,10 @@ def _modal_march(space: fem1d.SpatialOperatorMatrices, cfg: ThetaSchemeConfig, s
 def solve_state(
     problem: "ProblemSpec",
     u0,
-    cfg: ThetaSchemeConfig,
+    tgrid: TimeGrid,
     space: fem1d.SpatialOperatorMatrices,
 ) -> SpaceTimeField:
-    """March the state equation forward from the initial state u0.
+    """March the state equation forward from the initial state u0 over tgrid.
 
     space is the spatial operator of problem on the mesh to march on; see
     the module docstring for the scheme.  Homogeneous Dirichlet values are
@@ -105,10 +90,9 @@ def solve_state(
     if not np.all(np.abs(u0[[0, -1]]) <= 1e-12):
         raise ValueError("u0 must vanish at the boundary nodes")
 
-    tgrid = cfg.tgrid
     f_nodal = fem1d.sample(problem.f, tgrid.taus, smesh.nodes)
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
-    values[:, 1:-1] = _modal_march(space, cfg, f_nodal, u0[1:-1])
+    values[:, 1:-1] = _modal_march(space, tgrid, f_nodal, u0[1:-1])
     values[0] = u0
     return SpaceTimeField(tgrid, smesh, values)
 
@@ -146,14 +130,13 @@ def kkt_oracle(
             f"cap of {ORACLE_SIZE_CAP}"
         )
 
-    cfg = ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
     m_band, m_inner = space.m_band, fem1d.tridiag_dense(*space.inner_bands[0])
     n_x = smesh.d + 1
 
     # S[t, k] is the interior state at time node t from the k-th interior hat.
     no_source = np.zeros((tgrid.N + 1, n_x))
-    S = np.stack([_modal_march(space, cfg, no_source, e) for e in np.eye(smesh.d - 1)], 1)
-    offset = solve_state(problem, np.zeros(n_x), cfg, space).values
+    S = np.stack([_modal_march(space, tgrid, no_source, e) for e in np.eye(smesh.d - 1)], 1)
+    offset = solve_state(problem, np.zeros(n_x), tgrid, space).values
     misfit = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes) - offset
     w_t = trapezoid_time_weights(tgrid)
 

@@ -65,9 +65,8 @@ def ex2_history(smesh):
 def _baseline(spec, smesh, tgrid):
     u0 = np.asarray(spec.y_b(smesh.nodes), dtype=float).copy()
     u0[0] = u0[-1] = 0.0
-    cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tgrid)
     space = fem1d.assemble_spatial_matrices(smesh, spec.a, spec.a0)
-    return forward.solve_state(spec, u0, cfg, space)
+    return forward.solve_state(spec, u0, tgrid, space)
 
 
 def _max_misfit(field, y_ref):

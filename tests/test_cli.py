@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from varda import adaptivity, assimilation, cli, elliptic, mesh, problems
+from varda import adaptivity, assimilation, cli, elliptic, forward, mesh, problems
 
 
 def run(*argv):
@@ -25,8 +28,9 @@ def test_parse_config_text_rejects_lines_without_equals():
 
 
 def test_build_config_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(cli.CliError, match="unknown config key"):
-        cli.build_config({"grid.M": "8"})
+    for unknown in ({"grid.M": "8"}, {"theta_scheme": "0.5"}):
+        with pytest.raises(cli.CliError, match="unknown config key"):
+            cli.build_config(unknown)
     with pytest.raises(cli.CliError, match="bad value"):
         cli.build_config({"grid.N": "eight"})
     with pytest.raises(cli.CliError, match="positive"):
@@ -35,6 +39,14 @@ def test_build_config_rejects_unknown_keys_and_bad_values():
         cli.build_config({"problem.name": "example1i", "problem.eps": "0.1"})
     cfg = cli.build_config({"problem.name": "example3", "problem.m": "0.5"})
     assert cfg.m == 0.5
+
+
+def test_readme_lists_exactly_the_config_keys():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = next(block for block in text.split("\n\n") if block.startswith("Keys:"))
+    listed = set(re.findall(r"`([^`]+)`", paragraph))
+    assert set(cli._KEYS) <= listed
+    assert listed <= set(cli._KEYS) | set(problems.CATALOG) | set(adaptivity._STRATEGIES)
 
 
 def test_assimilate_writes_the_documented_files(tmp_path):
@@ -316,6 +328,16 @@ def test_solver_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
     code = run("assimilate", "problem.name=consistent", f"output_dir={tmp_path}")
     assert code == 2
     assert "solver error" in capsys.readouterr().err
+
+    # LinAlgError subclasses ValueError, yet it is a solver failure.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(forward, "kkt_oracle", singular)
+    code = run("oracle-check", "oracle.levels=4,6", f"output_dir={tmp_path}")
+    assert code == 2
+    assert capsys.readouterr().err == "solver error: Singular matrix\n"
 
 
 def test_oracle_check_writes_levels_and_orders(tmp_path):

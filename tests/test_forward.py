@@ -17,26 +17,22 @@ def _space(spec, smesh):
 def test_state_solver_tracks_the_decaying_mode(ex1i, smesh40, tgrid40):
     u0 = np.sin(np.pi * smesh40.nodes)
     u0[0] = u0[-1] = 0.0
-    cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tgrid40)
-    y = forward.solve_state(ex1i, u0, cfg, _space(ex1i, smesh40))
+    y = forward.solve_state(ex1i, u0, tgrid40, _space(ex1i, smesh40))
     exact = np.sin(np.pi * smesh40.nodes)[None, :] * np.exp(-RATE * tgrid40.taus)[:, None]
     assert np.abs(y.values - exact).max() <= 5e-4
 
 
 def test_state_solver_validates_the_initial_state(ex1i, smesh40, tgrid40):
-    cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tgrid40)
     space = _space(ex1i, smesh40)
     with pytest.raises(ValueError):
-        forward.solve_state(ex1i, np.ones(smesh40.d + 1), cfg, space)
+        forward.solve_state(ex1i, np.ones(smesh40.d + 1), tgrid40, space)
     with pytest.raises(ValueError):
-        forward.solve_state(ex1i, np.zeros(5), cfg, space)
+        forward.solve_state(ex1i, np.zeros(5), tgrid40, space)
     for node in (0, 7):
         u0 = np.zeros(smesh40.d + 1)
         u0[node] = np.nan
         with pytest.raises(ValueError):
-            forward.solve_state(ex1i, u0, cfg, space)
-    with pytest.raises(ValueError):
-        forward.ThetaSchemeConfig(theta=1.5, tgrid=tgrid40)
+            forward.solve_state(ex1i, u0, tgrid40, space)
 
 
 def test_trapezoid_weights_partition_the_horizon():
@@ -64,12 +60,11 @@ def test_oracle_perturbation_raises_the_objective(ex1i):
     u = forward.kkt_oracle(ex1i, space, tg)
     M = space.M
     w = forward.trapezoid_time_weights(tg)
-    cfg = forward.ThetaSchemeConfig(theta=0.5, tgrid=tg)
     data = np.array([ex1i.y_d(t, sm.nodes) for t in tg.taus])
     y_b = ex1i.y_b(sm.nodes)
 
     def objective(u0):
-        y = forward.solve_state(ex1i, u0, cfg, space)
+        y = forward.solve_state(ex1i, u0, tg, space)
         g = y.values - data
         misfit = sum(w[j] * float(g[j] @ (M @ g[j])) for j in range(tg.N + 1))
         du = u0 - y_b
@@ -90,47 +85,44 @@ def test_oracle_refuses_oversized_grids(ex1i):
         forward.kkt_oracle(ex1i, _space(ex1i, sm), tg)
 
 
-def _sparse_lu_march(space, cfg, source, start):
-    """Interior values of the theta scheme stepped by sparse LU in nodal form.
+def _sparse_lu_march(space, tgrid, source, start):
+    """Interior values of Crank-Nicolson stepped by sparse LU in nodal form.
 
     The solver the modal march replaced, kept as its reference: every step
-    solves (M_I + theta dt K_I) y = (M_I - (1-theta) dt K_I) y_prev + dt load
+    solves (M_I + dt/2 K_I) y = (M_I - dt/2 K_I) y_prev + dt (load_prev + load)/2
     with one factorization per distinct step coefficient.
     """
     M, K = space.m_inner.tocsc(), space.k_inner.tocsc()
-    theta, tgrid = cfg.theta, cfg.tgrid
     load = (space.M @ source.T).T[:, 1:-1]
     solvers = {}
     values = np.zeros((tgrid.N + 1, M.shape[0]))
     y = values[0] = start
     for j in range(tgrid.N):
         dt = tgrid.deltas[j]
-        coef = theta * dt
+        coef = 0.5 * dt
         if coef not in solvers:
             solvers[coef] = spla.factorized(M + coef * K)
-        rhs = M @ y - (1.0 - theta) * dt * (K @ y)
-        rhs += dt * (theta * load[j + 1] + (1.0 - theta) * load[j])
+        rhs = M @ y - coef * (K @ y)
+        rhs += dt * (0.5 * load[j + 1] + 0.5 * load[j])
         y = solvers[coef](rhs)
         values[j + 1] = y
     return values
 
 
-def _gap_to_sparse_lu(spec, sm, tg, theta):
+def _gap_to_sparse_lu(spec, sm, tg):
     """Relative gap of solve_state to the sparse-LU march."""
-    cfg = forward.ThetaSchemeConfig(theta=theta, tgrid=tg)
     space = _space(spec, sm)
     u0 = np.random.default_rng(5).standard_normal(sm.d + 1)
     u0[0] = u0[-1] = 0.0
 
-    y = forward.solve_state(spec, u0, cfg, space)
+    y = forward.solve_state(spec, u0, tg, space)
     f_nodal = fem1d.sample(spec.f, tg.taus, sm.nodes)
-    y_ref = _sparse_lu_march(space, cfg, f_nodal, u0[1:-1])
+    y_ref = _sparse_lu_march(space, tg, f_nodal, u0[1:-1])
     assert np.array_equal(y.values[0], u0) and not np.any(y.values[:, [0, -1]])
     return np.linalg.norm(y.values[:, 1:-1] - y_ref) / np.linalg.norm(y_ref)
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_modal_march_matches_sparse_lu_stepping(theta):
+def test_modal_march_matches_sparse_lu_stepping():
     spec = replace(
         variable_coefficient_problem(),
         f=lambda t, x: np.cos(3.0 * t) * np.sin(2.0 * np.pi * x) + x,
@@ -138,17 +130,15 @@ def test_modal_march_matches_sparse_lu_stepping(theta):
     tg = mesh.build_uniform_time_grid(1.0, 8)
     tg = mesh.bisect_intervals(mesh.bisect_intervals(tg, {0, 3, 4}), {1, 2, 9})
     assert np.ptp(tg.deltas) > 0.0
-    assert _gap_to_sparse_lu(spec, mesh.build_spatial_mesh(0.0, 1.0, 24), tg, theta) <= 1e-12
+    assert _gap_to_sparse_lu(spec, mesh.build_spatial_mesh(0.0, 1.0, 24), tg) <= 1e-12
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_modal_march_refines_the_slow_modes(ex1i, theta):
+def test_modal_march_refines_the_slow_modes(ex1i):
     # Each eigenvalue carries an absolute error near eps * max(lam); on the
     # slowly decaying modes of a random start an unrefined march compounds
-    # it to 2.9e-14 (theta = 0.5)
-    # and 3.1e-14 (theta = 1) here, while the refined march stays at 2.4e-15
-    # and 2.6e-15 of the sparse-LU steps.
+    # it to 2.9e-14 here, while the refined march stays at 2.4e-15 of the
+    # sparse-LU steps.
     tg = mesh.bisect_intervals(mesh.build_uniform_time_grid(1.0, 40), {0, 5, 6})
     sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
-    assert _gap_to_sparse_lu(ex1i, sm, tg, theta) <= 1e-14
+    assert _gap_to_sparse_lu(ex1i, sm, tg) <= 1e-14
 
