@@ -16,8 +16,9 @@ so recording reference errors only measures the grids it builds.
 adapt_loop lays out an interval's quadrature nodes and samples its data once,
 when bisection creates it, and keeps only its moments (see _Integrand); each
 cycle then costs O(N d q).  The reference route's solves all run after the
-loop, batched (elliptic.assemble_batch and solve_batch), on the cycles' own
-grids, and elliptic samples each of their load intervals once.
+loop, on the cycles' own grids and the uniform ones, packed in order of N
+into batches (elliptic.assemble_batch and solve_batch).  elliptic samples
+each of their load intervals once, and the route reads only each p(0).
 """
 
 from __future__ import annotations
@@ -257,12 +258,14 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
     """Assemble the system on the uniform grid of n_reference intervals; return errors, scored against it.
 
     errors(grids) gives the L2(Omega) gaps of p(0) on each grid to the
-    reference p(0).  The reference, which fills a batch alone, and then the
-    grids in order are solved in batches of at most n_reference intervals (a
-    larger grid alone) on one space, and only each p(0) is kept.  All
-    batches share one dict of load rows (see elliptic.assemble_batch), so an
-    interval that several grids hold is sampled once.  The reference load is
-    checked here, before any grid is scored.
+    reference p(0), in the order of grids.  The reference fills a batch
+    alone.  The grids are packed in order of N, so that a batch pads little,
+    into batches of at most n_reference intervals (a larger grid alone) on
+    one space, and only each p(0) is read.  Each lane of a batch is
+    elementwise, so the packing changes no bit.  All batches share one dict
+    of load rows (see elliptic.assemble_batch), so an interval that several
+    grids hold is sampled once.  The reference load is checked here, before
+    any grid is scored.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     rows: dict[tuple[float, float], np.ndarray] = {}
@@ -270,12 +273,14 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
     reference = elliptic.assemble_batch(problem, space, [ref_grid], rows)
 
     def errors(grids: list[TimeGrid]) -> list[float]:
-        ref_p0, p0 = elliptic.solve_batch(reference)[0].p.values[0], []
-        while grids:
-            k = max(1, int(np.searchsorted(np.cumsum([g.N for g in grids]), n_reference, side="right")))
-            batch, grids = grids[:k], grids[k:]
-            systems = elliptic.assemble_batch(problem, space, batch, rows)
-            p0 += [sol.p.values[0].copy() for sol in elliptic.solve_batch(systems)]
+        ref_p0, p0 = elliptic.solve_batch(reference)[0].p.values[0], [None] * len(grids)
+        order = sorted(range(len(grids)), key=lambda i: grids[i].N)
+        while order:
+            k = max(1, int(np.searchsorted(np.cumsum([grids[i].N for i in order]), n_reference, side="right")))
+            batch, order = order[:k], order[k:]
+            systems = elliptic.assemble_batch(problem, space, [grids[i] for i in batch], rows)
+            for i, sol in zip(batch, elliptic.solve_batch(systems)):
+                p0[i] = sol.p.values[0].copy()
         diffs = [ref_p0 - p for p in p0]
         return [float(np.sqrt(diff @ fem1d.tridiag_dot(*space.m_band, diff))) for diff in diffs]
 

@@ -116,18 +116,6 @@ class DofMap:
     def size(self) -> int:
         return self.n_p + self.n_q
 
-    def scatter(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expand a free-dof vector into full nodal (p, q) arrays."""
-        if x.shape != (self.size,):
-            raise ValueError(f"expected {self.size} free values, got {x.shape}")
-        N, d = self.tgrid.N, self.smesh.d
-        p = np.zeros((N + 1, d + 1))
-        q = np.zeros((N + 1, d + 1))
-        p[:N, 1:-1] = x[: self.n_p].reshape(N, d - 1)
-        q[:, 1:-1] = x[self.n_p :].reshape(N + 1, d - 1)
-        q[:, [0, -1]] = self.q_boundary
-        return p, q
-
     def gather(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Collect the free-dof vector back out of full nodal arrays."""
         N = self.tgrid.N
@@ -161,11 +149,32 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class EllipticSolution:
-    """Adjoint pair on the grids and the relative residual of the solve."""
+    """The solved free values x in dofmap's order and the relative residual of the solve.
 
-    p: SpaceTimeField
-    q: SpaceTimeField
+    The adjoint pair p, q is scattered from x on first read, each field on
+    its own, so a caller that reads p(0) alone builds no q.
+    """
+
+    dofmap: DofMap
+    x: np.ndarray
     solver_residual: float
+
+    @cached_property
+    def p(self) -> SpaceTimeField:
+        """p on the grids: zero on the two spatial ends and on the final time slice."""
+        (N, d), dofmap = (self.dofmap.tgrid.N, self.dofmap.smesh.d), self.dofmap
+        p = np.zeros((N + 1, d + 1))
+        p[:N, 1:-1] = self.x[: dofmap.n_p].reshape(N, d - 1)
+        return SpaceTimeField(dofmap.tgrid, dofmap.smesh, p)
+
+    @cached_property
+    def q(self) -> SpaceTimeField:
+        """q on the grids, with q_boundary on the two spatial ends."""
+        (N, d), dofmap = (self.dofmap.tgrid.N, self.dofmap.smesh.d), self.dofmap
+        q = np.zeros((N + 1, d + 1))
+        q[:, 1:-1] = self.x[dofmap.n_p :].reshape(N + 1, d - 1)
+        q[:, [0, -1]] = dofmap.q_boundary
+        return SpaceTimeField(dofmap.tgrid, dofmap.smesh, q)
 
 
 def _hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -174,9 +183,10 @@ def _hat_rows(quad: fem1d.SpatialQuadrature, g: np.ndarray, w: np.ndarray, lam: 
     return np.stack([np.einsum("ik,ikj->ij", w * hat, nodal) for hat in (1.0 - lam, lam)], axis=1)
 
 
-def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids, rows=None) -> list[np.ndarray]:
-    """Loads against every p test function, (N+1, d+1) and time-major, one per grid.
+def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tgrids, rows=None) -> np.ndarray:
+    """Loads against every p test function, shape (S, n + 1, d + 1), n the largest N of the S grids.
 
+    Row s holds grid s's (N+1, d+1) time-major load, zero after it.
     Space-time term: integral of (f - dt y_d - A y_d) against each hat
     function, summed from the intervals' _hat_rows, which rows maps from each
     key of TimeGrid.intervals.  The distinct intervals that rows lacks are
@@ -194,13 +204,15 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
         rows.update(zip(missing, _hat_rows(quad, problem.data_residual(t, quad.x), w, lam)))
 
     init = quad.gather(fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x))
-    loads = [np.zeros((tgrid.N + 1, space.smesh.d + 1)) for tgrid in tgrids]
-    for load, grid in zip(loads, keys):
-        r = np.array([rows[key] for key in grid])
-        # Interval i feeds the time hats of its nodes i and i + 1.
-        load[:-1] += r[:, 0]
-        load[1:] += r[:, 1]
-        load[0] += init
+    Ns = np.array([len(grid) for grid in keys])
+    # Interval i of grid s in slot (s, i); the slots after its N stay zero.
+    r = np.zeros((len(keys), Ns.max(), 2, space.smesh.d + 1))
+    r[np.arange(Ns.max()) < Ns[:, None]] = [rows[key] for grid in keys for key in grid]
+    loads = np.zeros((len(keys), Ns.max() + 1, space.smesh.d + 1))
+    # Interval i feeds the time hats of its nodes i and i + 1.
+    loads[:, :-1] += r[:, :, 0]
+    loads[:, 1:] += r[:, :, 1]
+    loads[:, 0] += init
     return loads
 
 
@@ -234,35 +246,58 @@ def assemble_batch(
 ) -> list[AssembledSystem]:
     """assemble on each of tgrids and one space; rows, if given, is _data_loads' interval dict.
 
+    The grids lie side by side, grid s in row s of each array and padded
+    after its last node, so the time bands, the lifted trace, the loads and
+    b are each a few array passes over the whole batch.  No pad enters a
+    grid's values, so each system is bitwise the one a lone assemble gives.
     Calls on one problem and space that pass one dict sample each interval
     once, and the systems are bitwise the same with or without it.  The data
-    of the intervals that rows lacks, the lateral trace of y_d and the
-    initial term are each sampled in one call for the whole batch.  Raises
-    ValueError as assemble does.
+    of the intervals that rows lacks, the lateral trace of y_d at the grids'
+    own nodes and the initial term are each sampled in one call for the
+    whole batch.  Raises ValueError as assemble does.
     """
     if space.a is not problem.a or space.a0 is not problem.a0:
         raise ValueError("spatial operator was built from other a, a0 callables than the problem's")
 
+    smesh, n = space.smesh, space.smesh.d - 1
+    Ns = np.array([g.N for g in tgrids])
+    slots = np.arange(2 * Ns.max() + 1)
+    nodes, intervals = slots[: Ns.max() + 1] <= Ns[:, None], slots[: Ns.max()] < Ns[:, None]
+    taus, padded = np.concatenate([g.taus for g in tgrids]), np.zeros(nodes.shape)
+    padded[nodes] = taus
+    # Nodes start at 0 and increase, so the running maximum repeats each last node.
+    (md, mo), (kd, ko) = fem1d.assemble_line_matrices(np.maximum.accumulate(padded, axis=1))
+
     # Lift the known q boundary values through the same two factors: T_M's
-    # q block is Mt and T_K's p-row q block Mt_N:.
-    smesh, (m_b, k_b) = space.smesh, space.boundary_columns
-    ends = np.array([smesh.x_left, smesh.x_right])
-    traces = -fem1d.sample(problem.y_d, np.concatenate([g.taus for g in tgrids]), ends)
-    traces = np.split(traces, np.cumsum([g.N + 1 for g in tgrids])[:-1])
-    systems = []
-    for tgrid, load, q_boundary in zip(tgrids, _data_loads(problem, space, tgrids, rows), traces):
-        N = tgrid.N
-        mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
-        mq = fem1d.tridiag_dot(*mt, q_boundary)
-        b_p = load[:N, 1:-1] - mq[:N] @ k_b.T
-        b = np.concatenate([b_p, -mq @ m_b.T]).ravel()
-        # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.sum(b * b)):
-                raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {np.abs(b).max():.3g})")
-        dofmap = DofMap(tgrid=tgrid, smesh=smesh, q_boundary=q_boundary)
-        systems.append(AssembledSystem(mt=mt, kt=kt, alpha=problem.alpha, space=space, b=b, dofmap=dofmap))
-    return systems
+    # q block is Mt and T_K's p-row q block Mt_N:.  Pad traces are -0.0, so
+    # each pad product (a zero off band times -0.0) adds -0.0, which leaves
+    # every value's bits as they are.
+    traces = np.full(nodes.shape + (2,), -0.0)
+    traces[nodes] = -fem1d.sample(problem.y_d, taus, np.array([smesh.x_left, smesh.x_right]))
+    mq = fem1d.tridiag_dot(md.T, mo.T, traces.transpose(1, 0, 2)).transpose(1, 0, 2)
+    # The interior rows of M's and K_hat's boundary columns hold one entry each, an end of the off band.
+    (_, m_off), (_, k_off) = space.m_band, space.k_band
+    b_p = _data_loads(problem, space, tgrids, rows)[:, :-1, 1:-1]
+    b_p[..., 0] -= mq[:, :-1, 0] * k_off[0]
+    b_p[..., -1] -= mq[:, :-1, 1] * k_off[-1]
+    # Each system's b is its N rows of b_p and then its N + 1 rows of b_q, in one row of b.
+    b = np.zeros((len(tgrids), len(slots), n))
+    b[slots < Ns[:, None]] = b_p[intervals]
+    q_rows = (slots >= Ns[:, None]) & (slots <= 2 * Ns[:, None])
+    b[..., 0][q_rows] -= mq[..., 0][nodes] * m_off[0]
+    b[..., -1][q_rows] -= mq[..., 1][nodes] * m_off[-1]
+    # np.sum, not a BLAS dot, whose threads would spin against the next eigh.
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.sum(b * b, axis=(1, 2)))
+    if not finite.all():
+        worst = np.abs(b[np.argmin(finite)]).max()
+        raise ValueError(f"load overflows: |b|^2 is not finite (max |b_i| {worst:.3g})")
+    return [
+        AssembledSystem(mt=(md[s, : N + 1], mo[s, :N]), kt=(kd[s, : N + 1], ko[s, :N]), alpha=problem.alpha,
+                        space=space, b=b[s, : 2 * N + 1].ravel(),
+                        dofmap=DofMap(tgrid=tgrid, smesh=smesh, q_boundary=traces[s, : N + 1]))
+        for s, (tgrid, N) in enumerate(zip(tgrids, Ns.tolist()))
+    ]
 
 
 class _Batch:
@@ -385,17 +420,13 @@ def solve_batch(systems: list[AssembledSystem]) -> list[EllipticSolution]:
         x += solve(r)
         relative = residuals(x)[1]
 
-    solutions = []
-    for system, x_s, residual, contract in zip(systems, batch.vector(x), relative.tolist(), contracts):
+    for residual, contract in zip(relative.tolist(), contracts):
         if not residual <= contract:
             raise EllipticSolverError(
                 f"linear solve achieved residual {residual:.3e}, contract is {contract:g}"
             )
-        (p, q), tgrid, smesh = system.dofmap.scatter(x_s), system.dofmap.tgrid, system.dofmap.smesh
-        solutions.append(
-            EllipticSolution(SpaceTimeField(tgrid, smesh, p), SpaceTimeField(tgrid, smesh, q), residual)
-        )
-    return solutions
+    return [EllipticSolution(system.dofmap, x_s, residual)
+            for system, x_s, residual in zip(systems, batch.vector(x), relative.tolist())]
 
 
 def solve_sparse(system: AssembledSystem) -> EllipticSolution:

@@ -71,10 +71,11 @@ class SpatialOperatorMatrices:
     the reaction coefficient a0(x).  Both are symmetric tridiagonal and kept
     as their (diag, off) bands m_band and k_band.  The space keeps its mesh,
     Gauss rule quad and a, a0 callables, is built once per run and is shared
-    by every solve, replay and oracle on its mesh.  The interior bands, the
-    boundary columns the solver lifts through and the eigenbasis modes are
-    built on first read, and so are the sparse views M, K, m_inner and
-    k_inner (M_I and K_I), which no run reads.
+    by every solve, replay and oracle on its mesh.  The interior bands and
+    the eigenbasis modes are built on first read, and so are the sparse
+    views M, K, m_inner and k_inner (M_I and K_I), which no run reads.
+    The interior rows of M's and K's boundary columns, which the solver
+    lifts the q trace through, hold one entry each: an end of the off band.
     """
 
     smesh: SpatialMesh
@@ -104,14 +105,6 @@ class SpatialOperatorMatrices:
     def inner_bands(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """((diag, off), (diag, off)) bands of M_I and K_I, for tridiag_dot."""
         return tuple((diag[1:-1], off[1:-1]) for diag, off in (self.m_band, self.k_band))
-
-    @cached_property
-    def boundary_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """M[1:-1, ::d] and K[1:-1, ::d]: interior rows, the two boundary columns, dense."""
-        columns = np.zeros((2, self.smesh.d - 1, 2))
-        for cols, (_, off) in zip(columns, (self.m_band, self.k_band)):
-            cols[0, 0], cols[-1, 1] = off[0], off[-1]
-        return tuple(columns)
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +220,11 @@ def time_quadrature(starts: np.ndarray, lengths: np.ndarray, quad_order: int, pa
 
 
 def _bands(e00: np.ndarray, e01: np.ndarray, e11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) summed from each element's entries; element i joins nodes i, i + 1."""
-    return np.concatenate((e00, [0.0])) + np.concatenate(([0.0], e11)), e01
+    """Bands (diag, off) from each element's entries, along the last axis; element i joins nodes i and i + 1."""
+    shape = np.shape(e00)[:-1] + (np.shape(e00)[-1] + 1,)
+    left, right = np.zeros(shape), np.zeros(shape)
+    left[..., :-1], right[..., 1:] = e00, e11
+    return left + right, e01
 
 
 def _band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
@@ -239,18 +235,24 @@ def _band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
 
 
 def assemble_line_matrices(nodes):
-    """Coefficient-free mass and stiffness on an arbitrary ascending node set.
+    """Coefficient-free mass and stiffness on ascending node sets, one per row along the last axis.
 
     Used for the temporal direction, where the adaptive grids are
     non-uniform and each interval contributes its own element matrices.
     Both are symmetric tridiagonal and returned as bands,
-    ((m_diag, m_off), (k_diag, k_off)), for tridiag_dot.
+    ((m_diag, m_off), (k_diag, k_off)), along the last axis, for
+    tridiag_dot.  A row may end in repeats of its last node, so that node
+    sets of different sizes lie side by side: those empty elements add zero
+    entries, and a set's bands are bitwise the ones it gets alone.
     """
     nodes = np.asarray(nodes, dtype=float)
     lengths = np.diff(nodes)
-    if nodes.ndim != 1 or nodes.size < 2 or np.any(lengths <= 0.0):
-        raise ValueError("need a strictly increasing 1-D node array")
-    m_el, k_el = lengths / 3.0, 1.0 / lengths
+    real = lengths > 0.0
+    # No NaN, no step back, and no empty element before a real one.
+    valid = nodes.shape[-1] >= 2 and real[..., 0].all() and (lengths >= 0.0).all()
+    if not (valid and (real[..., :-1] >= real[..., 1:]).all()):
+        raise ValueError("need strictly increasing node rows, each padded only by repeating its last node")
+    m_el, k_el = lengths / 3.0, np.divide(1.0, lengths, out=np.zeros_like(lengths), where=real)
     return _bands(m_el, lengths / 6.0, m_el), _bands(k_el, -k_el, k_el)
 
 
@@ -279,17 +281,22 @@ def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.nd
 
     diag (m, lanes...) and off (m - 1, lanes...), with at least one lane
     axis, are the bands of symmetric tridiagonal matrices in tridiag_dot's
-    layout.  Raises LinAlgError on a pivot that is not positive, before
-    dividing by it.
+    layout.  Every row is factored first, with numpy's floating-point
+    warnings off, and the pivots are checked once after: a pivot that is
+    not positive, or NaN, raises LinAlgError naming the first such row.
+    Row j's pivots follow from rows 0..j alone, so that is the row a check
+    before each division would stop at.
     """
     d, l = np.array(diag, dtype=float, order="C"), np.empty(np.shape(off))
     buf = np.empty_like(d[0])
-    for j in range(len(d)):
-        if not d[j].min() > 0.0:
-            raise np.linalg.LinAlgError(f"matrix is not positive definite: pivot {j} is {d[j].min()}")
-        if j + 1 < len(d):
+    with np.errstate(all="ignore"):
+        for j in range(len(d) - 1):
             np.divide(off[j], d[j], out=l[j])
             np.subtract(d[j + 1], np.multiply(l[j], off[j], out=buf), out=d[j + 1])
+    positive = (d > 0.0).reshape(len(d), -1).all(axis=1)
+    if not positive.all():
+        j = int(np.argmin(positive))
+        raise np.linalg.LinAlgError(f"matrix is not positive definite: pivot {j} is {d[j].min()}")
     return d, l
 
 

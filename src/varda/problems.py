@@ -272,7 +272,7 @@ def example3(
         return bump_sigma_dtt(t, m, eps) * np.sin(np.pi * x)
 
     def ay_d(t, x):
-        return rate * y_d(t, x)
+        return (rate * bump_sigma_dt(t, m, eps)) * np.sin(np.pi * x)
 
     def y_b(x):
         return (1.0 / alpha + rate) * sigma0 * np.sin(np.pi * x)

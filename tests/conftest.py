@@ -74,15 +74,22 @@ def variable_coefficient_problem():
 
 
 def unfactored_data(name, nu=0.1, eps=0.01):
-    """example1's or example2's y_d, y_d_t and Ay_d as products taken left to right.
+    """example1's, example2's or example3's (m = 0.5) y_d, y_d_t and Ay_d as products taken left to right.
 
     The catalog's closed forms, written without factoring: each product is a
     pass over the tensor grid, y_d_t and Ay_d reuse y_d, and example2's y_d_t
     adds its inflow.  They agree with the catalog's one-product callbacks to
-    a few ulps, so tests use them as an independent reference.
+    a few ulps, so tests use them as an independent reference.  example3's
+    Ay_d is rate * (s1 * sine), with s1 the ramp's first derivative.
     """
     rate = np.pi * np.pi * nu
-    if name == "example1":
+    if name == "example3":
+        def y_d(t, x):
+            return problems.bump_sigma_dt(t, 0.5, eps) * np.sin(np.pi * x)
+
+        def y_d_t(t, x):
+            return problems.bump_sigma_dtt(t, 0.5, eps) * np.sin(np.pi * x)
+    elif name == "example1":
         def y_d(t, x):
             return np.sin(np.pi * x) * np.exp(-rate * t)
 

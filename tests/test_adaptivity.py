@@ -325,6 +325,30 @@ def test_uniform_initial_errors_match_direct_solves():
         assert gap == pytest.approx(float(np.sqrt(diff @ (mass @ diff))), abs=1e-15)
 
 
+def test_reference_route_returns_the_gaps_in_input_order():
+    # Uniform and graded grids of 1 to 30 intervals, in a shuffled order.  The
+    # route packs them by N into batches of at most 40 intervals, and each gap
+    # must still be bitwise the gap of a lone solve, in the order given.
+    spec = problems.example2()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    graded = mesh.build_uniform_time_grid(1.0, 10)
+    for _ in range(3):
+        graded = mesh.bisect_intervals(graded, [0])
+    grids = [mesh.build_uniform_time_grid(1.0, n) for n in (12, 1, 30, 7, 3, 5)] + [graded]
+    grids = [grids[i] for i in np.random.default_rng(4).permutation(len(grids))]
+    assert [g.N for g in grids] != sorted(g.N for g in grids)
+    space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
+    ref_p0 = elliptic.solve_sparse(elliptic.assemble(spec, sm, mesh.build_uniform_time_grid(1.0, 40))).p.values[0]
+
+    def gap(grid):
+        diff = ref_p0 - elliptic.solve_sparse(elliptic.assemble(spec, sm, grid, space=space)).p.values[0]
+        return float(np.sqrt(diff @ (space.M @ diff)))
+
+    errors = adaptivity._reference_solver(spec, sm, 40, 3)
+    assert errors(grids) == [gap(grid) for grid in grids]
+    assert errors(grids[::-1]) == [gap(grid) for grid in grids[::-1]]
+
+
 def test_history_csv_shape():
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
@@ -500,11 +524,14 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     # t comes shaped (intervals, nodes, 1, 1).
     assert max(shape[0] for shape in shapes) <= 4 * cfg.n_max
     # 1 reference solve, 36 cycle solves and 35 uniform solves, in batches of
-    # at most 4 * n_max intervals.
+    # at most 4 * n_max intervals.  The reference fills the first batch, and
+    # the grids follow packed in order of N, so each batch's N never fall.
     solves = [n for batch in batches for n in batch]
     assert len(solves) == 72
     assert sorted(solves) == sorted([160, *range(5, 41), *range(6, 41)])
     assert max(sum(batch) for batch in batches) <= 4 * cfg.n_max
+    assert all(batch == sorted(batch) for batch in batches)
+    assert batches[0] == [160] and solves[1:] == sorted(solves[1:])
     assert len(batches) == 12 and calls == {"y_d": 24, "y_d_t": 48, "Ay_d": 48, "y_b": 12}
     # The data residual is sampled once per cycle and once per batch, every
     # batch holding an interval that no earlier batch did: 168 (t, x)

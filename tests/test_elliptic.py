@@ -240,7 +240,8 @@ def test_dofmap_slices_match_the_flat_node_ids(solver_grids):
         dofmap = elliptic.assemble(spec, smesh, tgrid).dofmap
         _, _, (p_free, q_free, q_fixed, q_fixed_values) = _flat_index_assembly(spec, smesh, tgrid)
         x = rng.standard_normal(dofmap.size)
-        p, q = dofmap.scatter(x)
+        sol = elliptic.EllipticSolution(dofmap, x, 0.0)
+        p, q = sol.p.values, sol.q.values
         assert np.array_equal(dofmap.gather(p, q), x)
         assert np.array_equal(p.ravel()[p_free], x[: dofmap.n_p])
         assert np.array_equal(q.ravel()[q_free], x[dofmap.n_p :])
@@ -401,7 +402,7 @@ def test_a_system_that_meets_the_contract_is_solved_once():
     x_s, residual = _solved_once(system)
     assert residual <= 1e-10
     sol = elliptic.solve_sparse(system)
-    assert sol.p.values.tobytes() == system.dofmap.scatter(x_s)[0].tobytes()
+    assert sol.x.tobytes() == x_s.tobytes()
     assert sol.solver_residual == residual
 
 
@@ -451,6 +452,52 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
         assert batched.p.values.tobytes() == alone.p.values.tobytes()
         assert batched.q.values.tobytes() == alone.q.values.tobytes()
         assert batched.solver_residual == alone.solver_residual
+
+
+def _per_grid_system(problem, space, tgrid):
+    """mt, kt and b of one grid the way a loop over grids builds them: 1-D bands, dense boundary columns."""
+    N, d = tgrid.N, space.smesh.d
+    mt, kt = fem1d.assemble_line_matrices(tgrid.taus)
+    mq = fem1d.tridiag_dot(*mt, -nodal(problem.y_d, tgrid.taus, space.smesh.nodes[[0, d]]))
+    m_b, k_b = (mat[1:-1][:, [0, d]].toarray() for mat in (space.M, space.K))
+    load = elliptic._data_loads(problem, space, [tgrid])[0]
+    return mt, kt, np.concatenate([load[:N, 1:-1] - mq[:N] @ k_b.T, -mq @ m_b.T]).ravel()
+
+
+@pytest.mark.parametrize("d", [2, 40])
+@pytest.mark.parametrize(
+    "problem",
+    [problems.example2(), problems.example3(eps=0.05)[0], _nonzero_trace_problem()],
+    ids=["example2", "example3", "nonzero-trace"],
+)
+def test_a_batch_lays_each_grid_out_as_it_is_alone(problem, d):
+    # The grids pad to the 160-interval one: N = 1, a graded grid, two grids
+    # that share [0, 0.25] and [0.25, 0.5], and a uniform N = 160.  example3's
+    # trace is a signed zero at x = 0, so the bitwise checks cover the signs
+    # of zeros too.
+    sm = mesh.build_spatial_mesh(0.0, 1.0, d)
+    space = fem1d.assemble_spatial_matrices(sm, problem.a, problem.a0)
+    grids = [
+        mesh.build_uniform_time_grid(1.0, 1),
+        _graded_towards_zero(6),
+        mesh.build_uniform_time_grid(1.0, 4),
+        mesh.build_time_grid([0.0, 0.25, 0.5, 1.0]),
+        mesh.build_uniform_time_grid(1.0, 160),
+    ]
+    for system, tgrid in zip(elliptic.assemble_batch(problem, space, grids), grids):
+        alone = elliptic.assemble(problem, sm, tgrid, space=space)
+        assert system.dofmap.tgrid is tgrid and system.b.shape == alone.b.shape
+        assert system.b.tobytes() == alone.b.tobytes()
+        for got, want in zip(system.mt + system.kt, alone.mt + alone.kt):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert system.dofmap.q_boundary.tobytes() == alone.dofmap.q_boundary.tobytes()
+        # With d > 2 each interior row of a boundary column holds one entry, so
+        # the dense product only adds exact zeros.  At d = 2 the one interior
+        # node takes both ends, whose products BLAS may sum with one rounding.
+        if d > 2:
+            mt, kt, b = _per_grid_system(problem, space, tgrid)
+            for got, want in zip(system.mt + system.kt + (system.b,), mt + kt + (b,)):
+                assert np.array_equal(got, want)
 
 
 def test_a_batch_samples_each_distinct_interval_once():

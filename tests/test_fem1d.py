@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -318,14 +320,32 @@ def test_banded_product_with_bands_per_lane_equals_one_product_per_lane(lengths)
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
 def test_ldlt_kernel_refuses_a_pivot_that_is_not_positive(pivot, value):
     # Row 'pivot' of one lane gets the diagonal value and no coupling to the
-    # row above, so its pivot is that value.  The factorization must stop
-    # there: a division by it would raise a RuntimeWarning, which fails the test.
+    # row above, so its pivot is that value.  The error must name that row,
+    # and a RuntimeWarning from dividing by it would fail the test.
     diag, off = _spd_lanes(np.random.default_rng(pivot), [6, 6], 2)
     diag[pivot, 1, 0] = value
     if pivot:
         off[pivot - 1, 1, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match=f"pivot {pivot} "):
         fem1d.tridiag_factor(diag, off)
+
+
+def test_ldlt_kernel_names_the_first_bad_pivot_among_many_lanes():
+    # 64 x 2 lanes of 9 rows.  Lane (37, 1) gets pivot -1 at row 4 and lane
+    # (12, 0) pivot 0 at row 6, each cut from the row above, so the rows below
+    # them run on through inf and NaN with numpy's warnings off.  The pivots
+    # are checked once, after the last row: the error must name row 4, the
+    # first bad one in any lane, and no RuntimeWarning may escape.
+    diag, off = _spd_lanes(np.random.default_rng(9), [9] * 64, 2)
+    diag[4, 37, 1], off[3, 37, 1] = -1.0, 0.0
+    diag[6, 12, 0], off[5, 12, 0] = 0.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"pivot 4 is -1\.0$"):
+            fem1d.tridiag_factor(diag, off)
+        # The mass of the eigenbasis goes through the same kernel.
+        with pytest.raises(np.linalg.LinAlgError, match="pivot 2 "):
+            fem1d.eigenbasis((np.array([2.0, 2.0, 0.5, 2.0]), np.array([0.5, 1.0, 0.5])), (np.ones(4), np.zeros(3)))
 
 
 @pytest.mark.parametrize("spec", [problems.example2(), variable_coefficient_problem()], ids=["constant", "variable"])

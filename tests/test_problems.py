@@ -99,7 +99,7 @@ def test_ramp_kernel_matches_the_per_derivative_formulas(m, eps):
     assert np.array_equal(spec.f(tt, xx), (RATE * RATE * s + RATE * s1) * sine)
     assert np.array_equal(spec.y_d(tt, xx), s1 * sine)
     assert np.array_equal(spec.y_d_t(tt, xx), s2 * sine)
-    assert np.array_equal(spec.Ay_d(tt, xx), RATE * (s1 * sine))
+    assert np.array_equal(spec.Ay_d(tt, xx), (RATE * s1) * sine)
 
 
 @pytest.mark.parametrize(
@@ -110,13 +110,15 @@ def test_ramp_kernel_matches_the_per_derivative_formulas(m, eps):
         ("example2", {"nu": 0.1, "eps": 0.01}),
         ("example2", {"nu": 0.05, "eps": 0.25}),
         ("example2", {"nu": 0.2, "eps": 0.002}),
+        ("example3", {"nu": 0.1, "eps": 0.5}),
+        ("example3", {"nu": 0.05, "eps": 0.05}),
     ],
 )
 def test_factored_callbacks_match_the_unfactored_closed_forms(name, params):
     # One tensor-grid product per callback only reorders the products, so each
     # value stays within 4 ulps of the grid's largest |value|.  The grid holds
     # both ends of each axis and the pulse's centre t = 1/6.
-    spec = problems.example1("i", **params) if name == "example1" else problems.example2(**params)
+    spec, _ = problems.build("example1i" if name == "example1" else name, **params)
     want = unfactored_data(name, **params)
     t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 601), [1.0 / 6.0]]))[:, None]
     x = np.linspace(0.0, 1.0, 257)[None, :]
