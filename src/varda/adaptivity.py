@@ -13,12 +13,19 @@ solution or None; with a solution and variable a or nonzero a0 it adds
 -A q = a' q_x - a0 q.  adapt_loop always marks on the data-only indicator,
 so recording reference errors only measures the grids it builds.
 
-adapt_loop lays out an interval's quadrature nodes and samples its data once,
-when bisection creates it, and keeps only its moments (see _Integrand); each
-cycle then costs O(N d q).  The reference route's solves all run after the
-loop, on the cycles' own grids and the uniform ones, packed in order of N
-into batches (elliptic.assemble_batch and solve_batch).  elliptic samples
-each of their load intervals once, and the route reads only each p(0).
+adapt_loop samples each interval's data once and keeps only its moments (see
+_Integrand); each cycle then costs O(N d q).  It samples in rounds: when a
+cycle has live intervals not yet sampled, one call takes them together with
+the halves of the intervals that the next cycles are predicted to bisect.
+With exact integrals half of an interval carries at most a quarter of its
+eta^2, so an unmarked interval above a quarter of the cycle's largest eta^2
+outranks every half of the cycle's marks, and MAX marks it before them.  The
+16-panel rule only approximates those integrals, so a wrong prediction can
+cost samples that never go live, but never a value: every cycle still marks
+on its own eta.  The reference route's solves all run after the loop, on the
+cycles' own grids and the uniform ones, packed in order of N into batches
+(elliptic.assemble_batch and solve_batch).  elliptic samples each of their
+load intervals once, and the route reads only each p(0).
 """
 
 from __future__ import annotations
@@ -136,10 +143,11 @@ class AdaptHistory:
 class _Integrand:
     """The indicator's integrand on one spatial mesh, reduced to moments in time.
 
-    moments reduces one interval's samples of the data residual g = f - dt y_d
-    - A y_d to (e, m) and eta_sq scores every interval from those.  a'(x) and
-    a0(x), which only -A q needs, are sampled on first use and kept.  Overflow
-    is left to ErrorIndicators, which rejects the non-finite result.
+    moments reduces the samples of the data residual g = f - dt y_d - A y_d
+    on a batch of intervals to each one's (e, m), and eta_sq scores every
+    interval from those.  a'(x) and a0(x), which only -A q needs, are sampled
+    on first use and kept.  Overflow is left to ErrorIndicators, which
+    rejects the non-finite result.
     """
 
     def __init__(self, problem: ProblemSpec, smesh: SpatialMesh, quad_order: int) -> None:
@@ -162,16 +170,22 @@ class _Integrand:
         _, (w,), (lam,) = fem1d.time_quadrature([0.0], [1.0], self.quad.order, panels=_TIME_PANELS)
         return np.stack(((1.0 - lam) ** 2, (1.0 - lam) * lam, lam * lam)) @ w
 
-    def moments(self, g, w, dt, lam=None) -> tuple[float, np.ndarray | None]:
-        """(e, m): dt^2 times the integral of g^2, and the integrals of (1 - lam) g and lam g.
+    def moments(self, g, w, dt, lam=None) -> list[tuple[float, np.ndarray | None]]:
+        """Each interval's (e, m): dt^2 times the integral of g^2, and the integrals of (1 - lam) g and lam g.
 
-        g, shaped (nt,) + quad.x.shape, holds g at one interval's time nodes, w
-        their weights, dt its length and lam their place in it.  e is the
-        data-only eta^2; m is None without lam, as in adapt_loop.
+        g, shaped (n, nt) + quad.x.shape, holds g at n intervals' time nodes,
+        w their weights, dt their lengths and lam their nodes' place in each.
+        One pass reduces g^2 in space for all n; each e then takes its own dot
+        in time, so it has the same bits whichever intervals share the pass.
+        e is the data-only eta^2; m is None without lam, as in adapt_loop.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            e = dt * dt * (w @ ((g * g) @ self.quad.w).sum(axis=1))
-            return e, (None if lam is None else np.tensordot(np.stack((1.0 - lam, lam)) * w, g, 1))
+            s = ((g * g) @ self.quad.w).sum(axis=2)
+            e = [dt_i * dt_i * (w_i @ s_i) for dt_i, w_i, s_i in zip(dt, w, s)]
+            if lam is None:
+                return [(e_i, None) for e_i in e]
+            return [(e_i, np.tensordot(np.stack((1.0 - lam_i, lam_i)) * w_i, g_i, 1))
+                    for e_i, g_i, w_i, lam_i in zip(e, g, w, lam)]
 
     def eta_sq(self, moments, dt: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
         """dt^2 times the integral of (g - A q)^2 over each interval, from its moments.
@@ -227,11 +241,10 @@ def compute_indicators(
     t, w_t, lam = fem1d.time_quadrature(tgrid.taus[:-1], tgrid.deltas, quad_order, panels=_TIME_PANELS)
 
     # One interval at a time, so the sampled data never scale with N.
-    q, lams = (None, [None] * tgrid.N) if sol is None else (sol.q.values, lam)
-    moments = [
-        integrand.moments(problem.data_residual(ti, integrand.quad.x), wi, dt, li)
-        for ti, wi, dt, li in zip(t, w_t, tgrid.deltas, lams)
-    ]
+    q, moments = (None if sol is None else sol.q.values), []
+    for i in range(tgrid.N):
+        g = problem.data_residual(t[i : i + 1], integrand.quad.x)
+        moments += integrand.moments(g, w_t[i : i + 1], tgrid.deltas[i : i + 1], None if q is None else lam[i : i + 1])
     return ErrorIndicators(per_interval=integrand.eta_sq(moments, tgrid.deltas, q))
 
 
@@ -245,13 +258,35 @@ def mark(ind: ErrorIndicators, cfg: AdaptConfig) -> set[int]:
     threshold = cfg.theta_mark * ind.total
     chosen: set[int] = set()
     acc = 0.0
-    # Descending by value, ascending index among ties.
-    for idx in np.lexsort((np.arange(vals.size), -vals)):
+    for idx in _ranked(vals):
         chosen.add(int(idx))
         acc += float(vals[idx])
         if acc >= threshold:
             break
     return chosen
+
+
+def _ranked(vals: np.ndarray) -> np.ndarray:
+    """Interval indices by descending value, ascending index among ties: the order of marking."""
+    return np.lexsort((np.arange(vals.size), -vals))
+
+
+def _ahead(vals: np.ndarray, marks: set[int], keys, room: int) -> list[tuple[float, float]]:
+    """Keys of the halves of the unmarked intervals whose eta^2 vals exceeds a quarter of the largest.
+
+    The module docstring says why a quarter.  The intervals are taken in
+    marking order, at most room of them, and each half is keyed by the
+    midpoint bisect_intervals makes.
+    """
+    if room <= 0:
+        return []
+    order = _ranked(vals)
+    order = order[vals[order] > 0.25 * vals[order[0]]].tolist()
+    halves = []
+    for t0, t1 in [keys[i] for i in order if i not in marks][:room]:
+        mid = 0.5 * (t0 + t1)
+        halves += [(t0, mid), (mid, t1)]
+    return halves
 
 
 def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int, quad_order: int):
@@ -260,15 +295,15 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
     errors(grids) gives the L2(Omega) gaps of p(0) on each grid to the
     reference p(0), in the order of grids.  The reference fills a batch
     alone.  The grids are packed in order of N, so that a batch pads little,
-    into batches of at most n_reference intervals (a larger grid alone) on
-    one space, and only each p(0) is read.  Each lane of a batch is
-    elementwise, so the packing changes no bit.  All batches share one dict
-    of load rows (see elliptic.assemble_batch), so an interval that several
-    grids hold is sampled once.  The reference load is checked here, before
-    any grid is scored.
+    into batches of at most n_reference intervals (a larger grid alone) on one
+    space, and only each p(0) is read.  Each lane of a batch is elementwise,
+    so the packing changes no bit.  All batches share one dict of load rows
+    (see elliptic.assemble_batch), so an interval that several grids hold, and
+    the initial term, are sampled once.  The reference load is checked here,
+    before any grid is scored.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
-    rows: dict[tuple[float, float], np.ndarray] = {}
+    rows: dict[tuple[float, float] | str, np.ndarray] = {}
     ref_grid = build_uniform_time_grid(problem.T, n_reference)
     reference = elliptic.assemble_batch(problem, space, [ref_grid], rows)
 
@@ -306,9 +341,13 @@ def adapt_loop(
     happens at all.
 
     Each interval's quadrature nodes are laid out and its data sampled once,
-    in one batch with the other intervals of its cycle, when bisection
-    creates it, and only its moments are kept.  Indicators and solves equal
-    fresh ones on every cycle's grid.
+    in rounds, and only its moments are kept.  A cycle whose grid holds
+    intervals not yet sampled starts a round: one data_residual call takes
+    them and the halves of the last cycle's unmarked intervals whose eta^2
+    exceeds a quarter of its largest, largest first and at most n_max minus
+    this grid's N of them (see _ahead).  A cycle whose intervals were all
+    sampled ahead makes no call.  Indicators and solves equal fresh ones on
+    every cycle's grid.
     """
     tgrid = build_uniform_time_grid(problem.T, cfg.n_initial)
     history = AdaptHistory()
@@ -317,21 +356,26 @@ def adapt_loop(
         errors = _reference_solver(problem, smesh, 4 * cfg.n_max, quad_order)
     integrand = _Integrand(problem, smesh, quad_order)
 
-    # Live interval key (t0, t1) -> its moments (e, None); bisected parents
-    # drop out.  tgrids keeps every cycle's grid for the reference route.
+    # Interval key (t0, t1) -> its moments (e, None), for every interval
+    # sampled so far.  tgrids keeps every cycle's grid for the reference route,
+    # and previous the last cycle's indicators, marks and keys for _ahead.
     cache: dict[tuple[float, float], tuple] = {}
     tgrids: list[TimeGrid] = []
+    previous = None
     cycle = 0
     while True:
         keys = tgrid.intervals
-        fresh = [i for i, key in enumerate(keys) if key not in cache]
-        starts, lengths = tgrid.taus[:-1][fresh], tgrid.deltas[fresh]
-        t, w_t, _ = fem1d.time_quadrature(starts, lengths, quad_order, panels=_TIME_PANELS)
-        for i, g, w, dt in zip(fresh, problem.data_residual(t, integrand.quad.x), w_t, lengths):
-            cache[keys[i]] = integrand.moments(g, w, dt)
-        cache = {key: cache[key] for key in keys}
+        fresh = [key for key in keys if key not in cache]
+        if fresh:
+            # One round: the live intervals not yet sampled and the predicted
+            # halves.  tgrid.N is the last cycle's N plus its marks.
+            if previous is not None:
+                fresh += [key for key in _ahead(*previous, cfg.n_max - tgrid.N) if key not in cache]
+            t0, t1 = np.array(fresh).T
+            t, w_t, _ = fem1d.time_quadrature(t0, t1 - t0, quad_order, panels=_TIME_PANELS)
+            cache.update(zip(fresh, integrand.moments(problem.data_residual(t, integrand.quad.x), w_t, t1 - t0)))
         tgrids.append(tgrid)
-        ind = ErrorIndicators(per_interval=integrand.eta_sq(cache.values(), tgrid.deltas))
+        ind = ErrorIndicators(per_interval=integrand.eta_sq([cache[key] for key in keys], tgrid.deltas))
         history.append(
             CycleRecord(
                 cycle=cycle,
@@ -348,6 +392,7 @@ def adapt_loop(
         marks = mark(ind, cfg)
         if not marks:
             break
+        previous = ind.per_interval, marks, keys
         tgrid = bisect_intervals(tgrid, marks)
         cycle += 1
 

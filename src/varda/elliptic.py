@@ -192,8 +192,8 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
     key of TimeGrid.intervals.  The distinct intervals that rows lacks are
     sampled here, in one call, and added to it.  An interval's rows depend on
     its t0 and t1 only (t1 - t0 is bitwise deltas), so rows changes no bit of
-    a load.  Initial term: integral of (y_b - y_d(0)) against the t=0
-    hats, sampled once.
+    a load.  Initial term: integral of (y_b - y_d(0)) against the t=0 hats,
+    sampled once per dict and kept in it under the key "initial".
     """
     quad, rows = space.quad, {} if rows is None else rows
     keys = [g.intervals for g in tgrids]
@@ -203,7 +203,9 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
         t, w, lam = fem1d.time_quadrature(t0, t1 - t0, quad.order)
         rows.update(zip(missing, _hat_rows(quad, problem.data_residual(t, quad.x), w, lam)))
 
-    init = quad.gather(fem1d._coefficient_at(problem.y_b, quad.x) - fem1d.sample(problem.y_d, 0.0, quad.x))
+    if "initial" not in rows:
+        y_b = fem1d._coefficient_at(problem.y_b, quad.x)
+        rows["initial"] = quad.gather(y_b - fem1d.sample(problem.y_d, 0.0, quad.x))
     Ns = np.array([len(grid) for grid in keys])
     # Interval i of grid s in slot (s, i); the slots after its N stay zero.
     r = np.zeros((len(keys), Ns.max(), 2, space.smesh.d + 1))
@@ -212,7 +214,7 @@ def _data_loads(problem: "ProblemSpec", space: fem1d.SpatialOperatorMatrices, tg
     # Interval i feeds the time hats of its nodes i and i + 1.
     loads[:, :-1] += r[:, :, 0]
     loads[:, 1:] += r[:, :, 1]
-    loads[:, 0] += init
+    loads[:, 0] += rows["initial"]
     return loads
 
 
@@ -251,10 +253,10 @@ def assemble_batch(
     b are each a few array passes over the whole batch.  No pad enters a
     grid's values, so each system is bitwise the one a lone assemble gives.
     Calls on one problem and space that pass one dict sample each interval
-    once, and the systems are bitwise the same with or without it.  The data
-    of the intervals that rows lacks, the lateral trace of y_d at the grids'
-    own nodes and the initial term are each sampled in one call for the
-    whole batch.  Raises ValueError as assemble does.
+    and the initial term once, and the systems are bitwise the same with or
+    without it.  The data of the intervals that rows lacks and the lateral
+    trace of y_d at the grids' own nodes are each sampled in one call for
+    the whole batch.  Raises ValueError as assemble does.
     """
     if space.a is not problem.a or space.a0 is not problem.a0:
         raise ValueError("spatial operator was built from other a, a0 callables than the problem's")

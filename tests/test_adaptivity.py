@@ -32,6 +32,23 @@ def _forced_variable_problem():
     return replace(variable_coefficient_problem(), f=f)
 
 
+def _hidden_pulse_problem():
+    """Forcing (1 + t + 100 exp(-((t - t_p) / 5e-4)^2)) sin(pi x), all data zero: a pulse that bisection uncovers.
+
+    t_p = 1/3 + 1.5/96 is the middle Gauss node of the second of the 16
+    panels on [1/3, 1/2].  The nearest node of the 16-panel rule on [1/3, 2/3]
+    lies 2.9e-3 away, where the pulse is below 1e-12.  So [1/3, 2/3] scores
+    as the smooth part alone, while its left half scores about 16 times its
+    parent: far more than the quarter the loop assumes when it samples ahead.
+    """
+    t_p = 1.0 / 3.0 + 1.5 / 96.0
+
+    def f(t, x):
+        return (1.0 + t + 100.0 * np.exp(-(((t - t_p) / 5e-4) ** 2))) * np.sin(np.pi * x)
+
+    return replace(_poly_problem(), f=f)
+
+
 def _brute_force_indicators(problem, smesh, taus, q):
     """dtau^2 times the integral of (f - A q)^2 on each interval, point by point.
 
@@ -385,25 +402,46 @@ def _fresh_loop(problem, smesh, cfg):
 
 @pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
 @pytest.mark.parametrize(
-    "problem, reference, grows",
+    "problem, reference, grows, unused",
     [
-        (problems.example3()[0], False, True),
-        (problems.example2(), True, True),
+        (problems.example3()[0], False, True, 0),
+        (problems.example2(), True, True, 0),
         # Variable a(x) and a0(x) with zero data: the data-only indicator is
         # zero, so the loop stops at cycle 0 even with reference errors on.
-        (variable_coefficient_problem(), True, False),
+        (variable_coefficient_problem(), True, False, 0),
         # Nonzero f as well.
-        (_forced_variable_problem(), True, True),
+        (_forced_variable_problem(), True, True, 0),
+        # The pulse lifts [1/3, 1/2] and later [1/3, 3/8] above the quarter
+        # of their parents, so two marks go where no half was sampled ahead.
+        # [1/2, 2/3] is sampled ahead, is a candidate again in a later round
+        # while its halves wait in the cache, and goes live in the end;
+        # [1/6, 1/3] is sampled ahead and never marked.
+        (_hidden_pulse_problem(), False, True, 2),
     ],
-    ids=["example3-data-only", "example2-reference", "variable-reference", "variable-forced-reference"],
+    ids=["example3-data-only", "example2-reference", "variable-reference", "variable-forced-reference",
+         "hidden-pulse"],
 )
-def test_cached_loop_matches_a_fresh_loop(problem, reference, grows, strategy):
+def test_cached_loop_matches_a_fresh_loop(problem, reference, grows, unused, strategy):
     sm = mesh.build_spatial_mesh(0.0, 1.0, 12)
     cfg = AdaptConfig(
         strategy=strategy, theta_mark=0.3, n_initial=3, n_max=12,
         record_reference_error=reference,
     )
-    _, history = adaptivity.adapt_loop(problem, sm, cfg)
+    rows = []
+
+    def counted(t, x):
+        rows.extend(np.reshape(t, (len(t), -1)) if np.ndim(t) else [])
+        return problem.f(t, x)
+
+    counted_problem = replace(problem, f=counted)
+    rows.clear()  # drop the spot check that construction ran
+    tgrid, history = adaptivity.adapt_loop(counted_problem, sm, cfg)
+    # No interval is sampled twice.  The loop samples 16 x 3 time nodes per
+    # interval, the loads 3: the loop's rows are the intervals that went
+    # live, n_initial and two per bisected interval, and the unused ones.
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    loop_rows = sum(1 for row in rows if row.size == 48)
+    assert loop_rows == cfg.n_initial + 2 * (tgrid.N - cfg.n_initial) + unused
     fresh = _fresh_loop(problem, sm, cfg)
     assert len(history.cycles) == len(fresh)
     assert len(fresh) > 2 if grows else len(fresh) == 1
@@ -455,7 +493,9 @@ def test_factored_example2_marks_the_same_intervals(strategy, n_max, nu):
 def test_adapt_loop_samples_each_interval_once():
     # example3 from 5 to 30 intervals by MAX: 5 initial intervals plus two
     # children for each of 25 bisections, every one sampled on the
-    # indicator's 16 panels x 3 Gauss nodes in time.
+    # indicator's 16 panels x 3 Gauss nodes in time.  Each round samples the
+    # cycle's unsampled intervals and the halves that the quarter rule
+    # predicts, and every prediction comes true: 6 rounds instead of 26.
     spec, _ = problems.example3()
     points = []
 
@@ -469,6 +509,32 @@ def test_adapt_loop_samples_each_interval_once():
     tgrid, _ = adaptivity.adapt_loop(counted_spec, sm, AdaptConfig(n_initial=5, n_max=30))
     assert tgrid.N == 30
     assert sum(points) == 55 * 48 * sm.d * 3
+    assert len(points) == 6
+
+
+@pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
+@pytest.mark.parametrize(
+    "problem",
+    [problems.example2(), problems.example3(eps=0.5)[0], problems.example3(eps=0.05)[0]],
+    ids=["example2", "example3-eps0.5", "example3-eps0.05"],
+)
+def test_sampling_ahead_takes_only_intervals_that_go_live(problem, strategy):
+    # At most n_max - N - len(marks) intervals are sampled ahead, each keyed
+    # by bisect_intervals' midpoint.  On these problems every one of them is
+    # bisected before the loop stops, so the loop samples the n_initial
+    # intervals and two halves per bisected interval, at 48 time nodes each.
+    nodes = []
+
+    def counted(t, x):
+        nodes.append(np.size(t))
+        return problem.f(t, x)
+
+    counted_problem = replace(problem, f=counted)
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    for n_max in range(5, 31):
+        nodes.clear()
+        tgrid, _ = adaptivity.adapt_loop(counted_problem, sm, AdaptConfig(strategy=strategy, n_max=n_max))
+        assert sum(nodes) == 48 * (5 + 2 * (tgrid.N - 5)), n_max
 
 
 def test_reference_route_samples_each_interval_once(monkeypatch):
@@ -478,9 +544,10 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     # 160-interval reference, the cycles' grids and the uniform grids of
     # 6..40 intervals (cycle 0's grid is uniform already).  Those hold
     # 160 + 75 + 805 intervals, of which the cycles share 9 with the
-    # reference and 22 with the uniform grids: 1,009 distinct.  The 72
-    # solves run in 12 batches, each of which samples y_d twice (lateral
-    # trace, initial term) and y_b once.
+    # reference and 22 with the uniform grids: 1,009 distinct.  The loop
+    # samples its 75 intervals in 9 rounds.  The 72 solves run in 12
+    # batches, each of which samples y_d once for the lateral trace; the
+    # batches share one dict, so the initial term samples y_d and y_b once.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
     cfg = AdaptConfig(strategy="MAX", n_initial=5, n_max=40, record_reference_error=True)
@@ -532,12 +599,12 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     assert max(sum(batch) for batch in batches) <= 4 * cfg.n_max
     assert all(batch == sorted(batch) for batch in batches)
     assert batches[0] == [160] and solves[1:] == sorted(solves[1:])
-    assert len(batches) == 12 and calls == {"y_d": 24, "y_d_t": 48, "Ay_d": 48, "y_b": 12}
-    # The data residual is sampled once per cycle and once per batch, every
-    # batch holding an interval that no earlier batch did: 168 (t, x)
+    assert len(batches) == 12 and calls == {"y_d": 12 + 1, "y_d_t": 21, "Ay_d": 21, "y_b": 1}
+    # The data residual is sampled once per round and once per batch, every
+    # batch holding an interval that no earlier batch did: 76 (t, x)
     # callback calls in all.
-    assert len(shapes) == 36 + 12
-    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 168
+    assert len(shapes) == 9 + 12
+    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 76
 
     # Each uniform error equals a fresh solve on its grid, bit for bit.
     monkeypatch.undo()

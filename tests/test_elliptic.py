@@ -503,7 +503,8 @@ def test_a_batch_lays_each_grid_out_as_it_is_alone(problem, d):
 def test_a_batch_samples_each_distinct_interval_once():
     # The grids share [0, 0.25] and [0.25, 0.5], and [0.5, 1] starts where
     # [0.5, 0.75] does: five distinct intervals, sampled in one call at 3
-    # Gauss nodes in time and 3 per cell in space.
+    # Gauss nodes in time and 3 per cell in space.  The dict also keeps the
+    # initial term.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
     space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
@@ -518,7 +519,7 @@ def test_a_batch_samples_each_distinct_interval_once():
     grids = [mesh.build_uniform_time_grid(1.0, 4), mesh.build_time_grid([0.0, 0.25, 0.5, 1.0])]
     rows = {}
     systems = elliptic.assemble_batch(counted_spec, space, grids, rows)
-    assert points == [5 * 3 * sm.d * 3] and len(rows) == 5
+    assert points == [5 * 3 * sm.d * 3] and len(rows) == 5 + 1 and "initial" in rows
     # A second batch with the same dict finds every interval there.
     points.clear()
     again = elliptic.assemble_batch(counted_spec, space, grids, rows)
