@@ -24,8 +24,8 @@ outranks every half of the cycle's marks, and MAX marks it before them.  The
 cost samples that never go live, but never a value: every cycle still marks
 on its own eta.  The reference route's solves all run after the loop, on the
 cycles' own grids and the uniform ones, packed in order of N into batches
-(elliptic.assemble_batch and solve_batch).  elliptic samples each of their
-load intervals once, and the route reads only each p(0).
+of at most _LANE_BUDGET lane values (elliptic.assemble_batch and solve_batch).
+elliptic samples each load interval once; the route reads only each p(0).
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 _STRATEGIES = ("MAX", "DOERFLER")
+
+# Lane values (time rows x lanes x interior nodes) that one batch of the reference
+# route may fill; a grid over it goes alone.  BENCH_lane_budget.json has the sweep.
+_LANE_BUDGET = 50_000
 
 # Sub-panels per time interval in compute_indicators.  Coarse intervals can be
 # much wider than the data features; one Gauss rule per interval misranks them.
@@ -293,14 +297,14 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
     """Assemble the system on the uniform grid of n_reference intervals; return errors, scored against it.
 
     errors(grids) gives the L2(Omega) gaps of p(0) on each grid to the
-    reference p(0), in the order of grids.  The reference fills a batch
-    alone.  The grids are packed in order of N, so that a batch pads little,
-    into batches of at most n_reference intervals (a larger grid alone) on one
-    space, and only each p(0) is read.  Each lane of a batch is elementwise,
-    so the packing changes no bit.  All batches share one dict of load rows
-    (see elliptic.assemble_batch), so an interval that several grids hold, and
-    the initial term, are sampled once.  The reference load is checked here,
-    before any grid is scored.
+    reference p(0), in the order of grids.  The reference fills a batch alone.
+    The grids are packed in order of N, so that a batch pads little, k at a
+    time while their (largest N + 1) x 2k x (d - 1) lane values stay within
+    _LANE_BUDGET (4 batches for n_max = 40 at d = 40; a grid over it alone).
+    Each lane is elementwise, so the packing changes no bit.  All batches
+    share one dict of load rows (see elliptic.assemble_batch), so an interval
+    that several grids hold, and the initial term, are sampled once.  The
+    reference load is checked here, before any grid is scored.
     """
     space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0, quad_order=quad_order)
     rows: dict[tuple[float, float] | str, np.ndarray] = {}
@@ -308,14 +312,15 @@ def _reference_solver(problem: ProblemSpec, smesh: SpatialMesh, n_reference: int
     reference = elliptic.assemble_batch(problem, space, [ref_grid], rows)
 
     def errors(grids: list[TimeGrid]) -> list[float]:
-        ref_p0, p0 = elliptic.solve_batch(reference)[0].p.values[0], [None] * len(grids)
+        ref_p0, p0 = elliptic.solve_batch(reference)[0].p0, [None] * len(grids)
         order = sorted(range(len(grids)), key=lambda i: grids[i].N)
         while order:
-            k = max(1, int(np.searchsorted(np.cumsum([grids[i].N for i in order]), n_reference, side="right")))
+            lanes = (np.array([grids[i].N for i in order]) + 1) * np.arange(2, 2 * len(order) + 1, 2) * (smesh.d - 1)
+            k = max(1, int(np.searchsorted(lanes, _LANE_BUDGET, side="right")))
             batch, order = order[:k], order[k:]
             systems = elliptic.assemble_batch(problem, space, [grids[i] for i in batch], rows)
             for i, sol in zip(batch, elliptic.solve_batch(systems)):
-                p0[i] = sol.p.values[0].copy()
+                p0[i] = sol.p0
         diffs = [ref_p0 - p for p in p0]
         return [float(np.sqrt(diff @ fem1d.tridiag_dot(*space.m_band, diff))) for diff in diffs]
 
@@ -337,8 +342,8 @@ def adapt_loop(
     L2 gaps of p(0) on every cycle's grid and on the uniform grid with as
     many intervals (cycle 0's is its own) against one solve on a uniform
     grid with 4 * n_max intervals.  Those solves all run after the last
-    cycle, in batches of at most 4 * n_max intervals; otherwise no solve
-    happens at all.
+    cycle, in batches bounded by _LANE_BUDGET (see _reference_solver);
+    otherwise no solve happens at all.
 
     Each interval's quadrature nodes are laid out and its data sampled once,
     in rounds, and only its moments are kept.  A cycle whose grid holds
@@ -416,8 +421,8 @@ def uniform_initial_errors(
     """L2(Omega) gaps of p(0) on uniform grids against a finer uniform solve.
 
     With n_reference = 4 * n_max and the loop's counts these equal the
-    uniform_error of adapt_loop's records bitwise: both build their own
-    reference solve and solve through the same code.
+    uniform_error of adapt_loop's records bitwise: both solve through
+    _reference_solver, whose packing into batches changes no bit.
     """
     grids = [build_uniform_time_grid(problem.T, int(n)) for n in counts]
     return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)(grids))

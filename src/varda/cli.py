@@ -531,7 +531,7 @@ def _reproduce_example3(cfg: RunConfig, out: Path) -> Path:
         exact0 = exact_p(0.0, smesh.nodes)
         for label, grid in (("adaptive", tgrid), ("uniform", mesh.build_uniform_time_grid(spec.T, 30))):
             system = elliptic.assemble(spec, smesh, grid, quad_order=cfg.quad_order, space=space)
-            p0 = elliptic.solve_sparse(system).p.values[0]
+            p0 = elliptic.solve_sparse(system).p0
             rows.append((f"example3 eps={eps:g} mse_{label}_N30", None, assimilation.mse_initial(p0, exact0)))
     path = out / "example3.csv"
     _atomic_write(path, _comparison_csv(rows))

@@ -152,7 +152,7 @@ class EllipticSolution:
     """The solved free values x in dofmap's order and the relative residual of the solve.
 
     The adjoint pair p, q is scattered from x on first read, each field on
-    its own, so a caller that reads p(0) alone builds no q.
+    its own; p0 reads p(0) alone and builds neither.
     """
 
     dofmap: DofMap
@@ -166,6 +166,11 @@ class EllipticSolution:
         p = np.zeros((N + 1, d + 1))
         p[:N, 1:-1] = self.x[: dofmap.n_p].reshape(N, d - 1)
         return SpaceTimeField(dofmap.tgrid, dofmap.smesh, p)
+
+    @property
+    def p0(self) -> np.ndarray:
+        """p.values[0] read straight off x, without building p: x's first d - 1 values between zero ends."""
+        return np.concatenate(([0.0], self.x[: self.dofmap.smesh.d - 1], [0.0]))
 
     @cached_property
     def q(self) -> SpaceTimeField:

@@ -342,10 +342,11 @@ def test_uniform_initial_errors_match_direct_solves():
         assert gap == pytest.approx(float(np.sqrt(diff @ (mass @ diff))), abs=1e-15)
 
 
-def test_reference_route_returns_the_gaps_in_input_order():
+def test_reference_route_returns_the_gaps_in_input_order(monkeypatch):
     # Uniform and graded grids of 1 to 30 intervals, in a shuffled order.  The
-    # route packs them by N into batches of at most 40 intervals, and each gap
-    # must still be bitwise the gap of a lone solve, in the order given.
+    # route packs them by N into batches within its lane budget, and each gap
+    # must still be bitwise the gap of a lone solve, in the order given.  With
+    # a budget of 0 every grid is over it and goes alone.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
     graded = mesh.build_uniform_time_grid(1.0, 10)
@@ -364,6 +365,61 @@ def test_reference_route_returns_the_gaps_in_input_order():
     errors = adaptivity._reference_solver(spec, sm, 40, 3)
     assert errors(grids) == [gap(grid) for grid in grids]
     assert errors(grids[::-1]) == [gap(grid) for grid in grids[::-1]]
+    monkeypatch.setattr(adaptivity, "_LANE_BUDGET", 0)
+    assert errors(grids) == [gap(grid) for grid in grids]
+
+
+def _gaps_packed_by_intervals(problem, smesh, grids, n_reference):
+    """The route's gaps as it packed them before its lane budget: in order of N, at most n_reference intervals a batch.
+
+    Returns the gaps in the order of grids and the number of batches, the
+    reference's included.
+    """
+    space = fem1d.assemble_spatial_matrices(smesh, problem.a, problem.a0)
+    rows, ref_grid = {}, mesh.build_uniform_time_grid(problem.T, n_reference)
+    ref_p0 = elliptic.solve_batch(elliptic.assemble_batch(problem, space, [ref_grid], rows))[0].p.values[0]
+    order, p0, n_batches = sorted(range(len(grids)), key=lambda i: grids[i].N), {}, 1
+    while order:
+        k = max(1, int(np.searchsorted(np.cumsum([grids[i].N for i in order]), n_reference, side="right")))
+        batch, order, n_batches = order[:k], order[k:], n_batches + 1
+        systems = elliptic.assemble_batch(problem, space, [grids[i] for i in batch], rows)
+        p0.update(zip(batch, (sol.p.values[0] for sol in elliptic.solve_batch(systems))))
+    diffs = [ref_p0 - p0[i] for i in range(len(grids))]
+    return [float(np.sqrt(diff @ fem1d.tridiag_dot(*space.m_band, diff))) for diff in diffs], n_batches
+
+
+@pytest.mark.parametrize("strategy", ["MAX", "DOERFLER"])
+@pytest.mark.parametrize(
+    "problem, d",
+    [(problems.example2(), 20), (problems.example3()[0], 12)],
+    ids=["example2-d20", "example3-d12"],
+)
+def test_the_lane_budget_changes_no_bit(monkeypatch, problem, d, strategy):
+    # The packing under the budget and the old packing of at most 4 * n_max
+    # intervals a batch give the same p(0) gaps, bit for bit.  The old rule
+    # counts intervals, which no lane budget reproduces, so the helper packs
+    # that way itself.  Nothing else in a record comes from a solve.
+    sm = mesh.build_spatial_mesh(0.0, 1.0, d)
+    cfg = AdaptConfig(strategy=strategy, n_initial=5, n_max=40, record_reference_error=True)
+    batches = []
+    solve_batch = elliptic.solve_batch
+
+    def counted_solve(systems):
+        batches.append([system.dofmap.tgrid.N for system in systems])
+        return solve_batch(systems)
+
+    monkeypatch.setattr(elliptic, "solve_batch", counted_solve)
+    _, history = adaptivity.adapt_loop(problem, sm, cfg)
+    assert all((max(batch) + 1) * 2 * len(batch) * (d - 1) <= adaptivity._LANE_BUDGET for batch in batches)
+    monkeypatch.undo()
+
+    cycles = history.cycles
+    grids = [mesh.build_time_grid(rec.taus) for rec in cycles]
+    grids += [mesh.build_uniform_time_grid(problem.T, rec.n_intervals) for rec in cycles[1:]]
+    gaps, n_batches = _gaps_packed_by_intervals(problem, sm, grids, 4 * cfg.n_max)
+    assert 1 < len(batches) < n_batches and len(cycles) > 2
+    assert [rec.true_error for rec in cycles] == gaps[: len(cycles)]
+    assert [rec.uniform_error for rec in cycles] == gaps[:1] + gaps[len(cycles) :]
 
 
 def test_history_csv_shape():
@@ -545,8 +601,9 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
     # 6..40 intervals (cycle 0's grid is uniform already).  Those hold
     # 160 + 75 + 805 intervals, of which the cycles share 9 with the
     # reference and 22 with the uniform grids: 1,009 distinct.  The loop
-    # samples its 75 intervals in 9 rounds.  The 72 solves run in 12
-    # batches, each of which samples y_d once for the lateral trace; the
+    # samples its 75 intervals in 9 rounds.  The 72 solves run in 3 batches:
+    # the reference, then 45 and 26 grids, each batch within the lane budget
+    # at d = 20.  Each batch samples y_d once for the lateral trace; the
     # batches share one dict, so the initial term samples y_d and y_b once.
     spec = problems.example2()
     sm = mesh.build_spatial_mesh(0.0, 1.0, 20)
@@ -588,23 +645,25 @@ def test_reference_route_samples_each_interval_once(monkeypatch):
                  for interval in zip(grid.taus[:-1].tolist(), grid.taus[1:].tolist())}
     assert len(intervals) == 160 + 75 + sum(range(6, 41)) - 9 - 22 == 1009
     assert sum(points) == (75 * 48 + 1009 * 3) * sm.d * 3 == 397_620
-    # t comes shaped (intervals, nodes, 1, 1).
-    assert max(shape[0] for shape in shapes) <= 4 * cfg.n_max
-    # 1 reference solve, 36 cycle solves and 35 uniform solves, in batches of
-    # at most 4 * n_max intervals.  The reference fills the first batch, and
-    # the grids follow packed in order of N, so each batch's N never fall.
+    # 1 reference solve, 36 cycle solves and 35 uniform solves.  The
+    # reference fills the first batch, and the grids follow packed in order
+    # of N, so each batch's N never fall, with at most the budget's lane values.
     solves = [n for batch in batches for n in batch]
     assert len(solves) == 72
     assert sorted(solves) == sorted([160, *range(5, 41), *range(6, 41)])
-    assert max(sum(batch) for batch in batches) <= 4 * cfg.n_max
+    assert all((max(batch) + 1) * 2 * len(batch) * (sm.d - 1) <= adaptivity._LANE_BUDGET for batch in batches)
     assert all(batch == sorted(batch) for batch in batches)
     assert batches[0] == [160] and solves[1:] == sorted(solves[1:])
-    assert len(batches) == 12 and calls == {"y_d": 12 + 1, "y_d_t": 21, "Ay_d": 21, "y_b": 1}
-    # The data residual is sampled once per round and once per batch, every
-    # batch holding an interval that no earlier batch did: 76 (t, x)
-    # callback calls in all.
-    assert len(shapes) == 9 + 12
-    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 76
+    assert len(batches) == 3 and calls == {"y_d": 3 + 1, "y_d_t": 12, "Ay_d": 12, "y_b": 1}
+    # The data residual is sampled once for the reference, which is assembled
+    # before the loop, once per round and once per grid batch, every batch
+    # holding an interval that no earlier batch did: 40 (t, x) callback calls
+    # in all.  t comes shaped (intervals, nodes, 1, 1), and no batch samples
+    # more intervals than it holds.
+    assert len(shapes) == 1 + 9 + 2
+    assert len(shapes) + calls["y_d"] + calls["y_d_t"] + calls["Ay_d"] == 40
+    load_calls = shapes[:1] + shapes[1 + 9 :]
+    assert all(shape[0] <= sum(batch) for shape, batch in zip(load_calls, batches, strict=True))
 
     # Each uniform error equals a fresh solve on its grid, bit for bit.
     monkeypatch.undo()

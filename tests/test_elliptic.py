@@ -454,6 +454,20 @@ def test_batched_solutions_equal_single_solves_bitwise(problem, d):
         assert batched.solver_residual == alone.solver_residual
 
 
+@pytest.mark.parametrize("d", [2, 3, 40])
+@pytest.mark.parametrize("problem", [problems.example2(), _nonzero_trace_problem()], ids=["example2", "nonzero-trace"])
+def test_p0_reads_the_first_time_row_of_p(problem, d):
+    # p0 reads p(0) off the solved vector without building p.  The trace
+    # problem's q rows hold nonzero ends, and every grid's next p row differs.
+    sm = mesh.build_spatial_mesh(0.0, 1.0, d)
+    space = fem1d.assemble_spatial_matrices(sm, problem.a, problem.a0)
+    grids = [mesh.build_uniform_time_grid(1.0, 1), _graded_towards_zero(6), mesh.build_uniform_time_grid(1.0, 7)]
+    systems = elliptic.assemble_batch(problem, space, grids)
+    for sol in elliptic.solve_batch(systems) + [elliptic.solve_sparse(system) for system in systems]:
+        assert sol.p0.tobytes() == sol.p.values[0].tobytes()
+        assert np.any(sol.p0) and not np.array_equal(sol.p0, sol.p.values[1])
+
+
 def _per_grid_system(problem, space, tgrid):
     """mt, kt and b of one grid the way a loop over grids builds them: 1-D bands, dense boundary columns."""
     N, d = tgrid.N, space.smesh.d
