@@ -4,7 +4,7 @@ Four subcommands cover the workflows the library supports: `assimilate`
 solves one problem and dumps the fields, `adapt` runs the refinement loop,
 `reproduce` re-runs the published sweeps and tabulates computed against
 published numbers, and `oracle-check` cross-validates the space-time solver
-against the brute-force discrete optimizer.
+against the closed-form discrete optimizer.
 
 Configuration is flat key=value text (section prefixes like `grid.N`),
 overridable from the command line; see KEY_HELP for the full key set.  All
@@ -553,13 +553,6 @@ def cmd_reproduce(target: str, cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    for n in cfg.levels:
-        dense_size = (n + 1) * (n - 1)
-        if dense_size > forward.ORACLE_SIZE_CAP:
-            raise CliError(
-                f"oracle level d=N={n} needs a dense map of {dense_size} columns, "
-                f"above the cap of {forward.ORACLE_SIZE_CAP}"
-            )
     base_spec, _ = resolve_problem(cfg)
     diffs: list[float] = []
     for n in cfg.levels:
@@ -634,7 +627,7 @@ def make_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="re-run a published sweep")
     rep.add_argument("target", help="table1, example2 or example3")
     _add_common(rep)
-    _add_common(sub.add_parser("oracle-check", help="cross-validate against the dense optimizer"))
+    _add_common(sub.add_parser("oracle-check", help="cross-validate against the closed-form optimizer"))
     return parser
 
 

@@ -1,14 +1,14 @@
-"""Time-stepping solver for the state equation, plus a dense least-squares
-oracle.
+"""Time-stepping solver for the state equation, plus the discrete minimizer
+in closed form.
 
 These are deliberately conventional: the Crank-Nicolson scheme marching
-the heat-type state equation forward.  They provide the assimilated
-trajectory and an independent brute-force minimizer on tiny grids that the
-space-time solver can be tested against.
+the heat-type state equation forward, and the normal equations of its
+least-squares objective.  They provide the assimilated trajectory and an
+independent minimizer that the space-time solver can be tested against.
 
 The march and the oracle take the run's fem1d.SpatialOperatorMatrices,
 built once per run and shared by every solve, replay and oracle on its
-mesh, and march in its eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I.
+mesh, and work in its eigenbasis K_I V = M_I V diag(lam), V^T M_I V = I.
 With y = V z on the interior nodes and g the modal consistent mass load of
 the source, a step over an interval dt is one division per mode:
 
@@ -17,6 +17,10 @@ the source, a step over an interval dt is one division per mode:
 Each eigenvalue is exact only to about eps * max(lam), an error the slow
 modes would compound step after step, so the march re-marches its nodal
 residual once: one step of iterative refinement.
+
+In that basis the source-free march is diagonal, and so are the oracle's
+normal equations (Lynch, Rice & Thomas, Numer. Math. 6, 1964, applied to
+the 4D-Var normal equations of Le Dimet & Talagrand, Tellus 38A, 1986).
 """
 
 from __future__ import annotations
@@ -36,37 +40,6 @@ __all__ = [
     "kkt_oracle",
     "trapezoid_time_weights",
 ]
-
-ORACLE_SIZE_CAP = 2000
-
-
-def _modal_march(space: fem1d.SpatialOperatorMatrices, tgrid: TimeGrid, source, start) -> np.ndarray:
-    """Interior values, one row per time node, of the Crank-Nicolson march.
-
-    source holds the nodal source values, one row per time node; start holds
-    the interior values at t = 0.
-    """
-    lam, V = space.modes
-    mass, stiffness = space.inner_bands
-    load = fem1d.tridiag_dot(*space.m_band, source.T).T[:, 1:-1]
-    dt = tgrid.deltas[:, None]
-    push = dt * (0.5 * load[1:] + 0.5 * load[:-1])
-    keep, gain = 1.0 - 0.5 * dt * lam, 1.0 + 0.5 * dt * lam
-
-    def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        z = [V.T @ fem1d.tridiag_dot(*mass, y0)]
-        for keep_j, push_j, gain_j in zip(keep, push @ V, gain):
-            z.append((keep_j * z[-1] + push_j) / gain_j)
-        y = np.array(z) @ V.T
-        y[0] = y0
-        return y
-
-    y = march(push, start)
-    y_mid = 0.5 * y[1:] + 0.5 * y[:-1]
-    residual = push - fem1d.tridiag_dot(*mass, (y[1:] - y[:-1]).T).T
-    residual -= dt * fem1d.tridiag_dot(*stiffness, y_mid.T).T
-    y += march(residual, np.zeros_like(start))
-    return y
 
 
 def solve_state(
@@ -90,9 +63,30 @@ def solve_state(
     if not np.all(np.abs(u0[[0, -1]]) <= 1e-12):
         raise ValueError("u0 must vanish at the boundary nodes")
 
+    lam, V = space.modes
+    mass, stiffness = space.inner_bands
     f_nodal = fem1d.sample(problem.f, tgrid.taus, smesh.nodes)
+    load = fem1d.tridiag_dot(*space.m_band, f_nodal.T).T[:, 1:-1]
+    dt = tgrid.deltas[:, None]
+    push = dt * (0.5 * load[1:] + 0.5 * load[:-1])
+    keep, gain = 1.0 - 0.5 * dt * lam, 1.0 + 0.5 * dt * lam
+
+    def march(push: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        z = [V.T @ fem1d.tridiag_dot(*mass, y0)]
+        for keep_j, push_j, gain_j in zip(keep, push @ V, gain):
+            z.append((keep_j * z[-1] + push_j) / gain_j)
+        y = np.array(z) @ V.T
+        y[0] = y0
+        return y
+
+    y = march(push, u0[1:-1])
+    y_mid = 0.5 * y[1:] + 0.5 * y[:-1]
+    residual = push - fem1d.tridiag_dot(*mass, (y[1:] - y[:-1]).T).T
+    residual -= dt * fem1d.tridiag_dot(*stiffness, y_mid.T).T
+    y += march(residual, np.zeros(smesh.d - 1))
+
     values = np.zeros((tgrid.N + 1, smesh.d + 1))
-    values[:, 1:-1] = _modal_march(space, tgrid, f_nodal, u0[1:-1])
+    values[:, 1:-1] = y
     values[0] = u0
     return SpaceTimeField(tgrid, smesh, values)
 
@@ -110,41 +104,29 @@ def kkt_oracle(
     space: fem1d.SpatialOperatorMatrices,
     tgrid: TimeGrid,
 ) -> np.ndarray:
-    """Brute-force discrete minimizer of the assimilation objective.
+    """Discrete minimizer of the assimilation objective, in closed form.
 
-    Builds the control-to-trajectory map S with trapezoid time stepping,
-    one source-free march per interior hat as initial state, then solves
-    the dense normal equations
+    It solves the normal equations (sum_t w_t S_t' M_I S_t + alpha M_I) u_I =
+    sum_t w_t S_t' b_t + alpha (M y_b)_I, with w the trapezoid time weights,
+    S_t the source-free march from u_I to time node t, and b_t the interior
+    rows of M (y_d - c)(t), c the march from zero.  S_t = V diag(r_t) V' M_I,
+    where r_t multiplies (1 - dt lam/2) / (1 + dt lam/2) over the steps up
+    to node t and r_0 = 1, so
 
-        (S' W S + alpha M) u = S' W (y_d - c) + alpha M y_b
-
-    where W is trapezoid-in-time tensor spatial mass and c the trajectory
-    from a zero initial state, all on the mesh of space.  Intended as a test
-    oracle only; grids above the size cap are refused.
+        u_I = V [(sum_t w_t r_t * V' b_t + alpha V' (M y_b)_I) / (sum_t w_t r_t^2 + alpha)].
     """
-    smesh = space.smesh
-    n_free = (tgrid.N + 1) * (smesh.d - 1)
-    if n_free > ORACLE_SIZE_CAP:
-        raise ValueError(
-            f"oracle grid too large: {n_free} trajectory dofs exceed the "
-            f"cap of {ORACLE_SIZE_CAP}"
-        )
+    smesh, alpha = space.smesh, problem.alpha
+    lam, V = space.modes
+    dt = tgrid.deltas[:, None]
+    step = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
+    r = np.cumprod(np.vstack([np.ones_like(lam), step]), axis=0)
+    w = trapezoid_time_weights(tgrid)[:, None]
 
-    m_band, m_inner = space.m_band, fem1d.tridiag_dense(*space.inner_bands[0])
-    n_x = smesh.d + 1
-
-    # S[t, k] is the interior state at time node t from the k-th interior hat.
-    no_source = np.zeros((tgrid.N + 1, n_x))
-    S = np.stack([_modal_march(space, tgrid, no_source, e) for e in np.eye(smesh.d - 1)], 1)
-    offset = solve_state(problem, np.zeros(n_x), tgrid, space).values
+    offset = solve_state(problem, np.zeros(smesh.d + 1), tgrid, space).values
     misfit = fem1d.sample(problem.y_d, tgrid.taus, smesh.nodes) - offset
-    w_t = trapezoid_time_weights(tgrid)
+    b = fem1d.tridiag_dot(*space.m_band, misfit.T).T[:, 1:-1]
+    m_yb = fem1d.tridiag_dot(*space.m_band, fem1d._coefficient_at(problem.y_b, smesh.nodes))[1:-1]
 
-    G = np.einsum("t,tki,tli->kl", w_t, S, S @ m_inner) + problem.alpha * m_inner
-    rhs = np.einsum("t,tki,ti->k", w_t, S, fem1d.tridiag_dot(*m_band, misfit.T).T[:, 1:-1])
-    rhs += problem.alpha * fem1d.tridiag_dot(*m_band, fem1d._coefficient_at(problem.y_b, smesh.nodes))[1:-1]
-
-    u = np.zeros(n_x)
-    u[1:-1] = np.linalg.solve(G, rhs)
+    u = np.zeros(smesh.d + 1)
+    u[1:-1] = V @ (((w * r * (b @ V)).sum(0) + alpha * (m_yb @ V)) / ((w * r**2).sum(0) + alpha))
     return u
-

@@ -255,7 +255,7 @@ def test_criterion_5_oracle_convergence(capsys):
     report(
         capsys,
         f"criterion 5: {'PASS' if ok else 'FAIL'} "
-        f"(space-time vs brute-force control: differences "
+        f"(space-time vs closed-form control: differences "
         f"{diffs[0]:.2e}/{diffs[1]:.2e}/{diffs[2]:.2e} at d=N=10/20/40, "
         f"observed order {order:.2f} >= 1; consistent-data agreement "
         f"{agreement:.2e} <= 1e-6)",

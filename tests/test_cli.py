@@ -279,7 +279,6 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
         ("assimilate", "problem.name=example2", "problem.m=0.4"),
         ("assimilate", "--config", str(tmp_path / "missing.cfg")),
         ("reproduce", "figure12"),
-        ("oracle-check", "oracle.levels=10,200"),
         ("adapt", "adapt.strategy=NEWEST"),
         ("adapt", "adapt.n_initial=9", "adapt.n_max=5"),
         ("assimilate", "seed=3"),
@@ -353,6 +352,19 @@ def test_oracle_check_writes_levels_and_orders(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "10" and first[1] == "10" and first[3] == ""
     assert float(lines[2].split(",")[3]) >= 0.8
+
+
+def test_oracle_check_runs_above_the_old_dense_size(tmp_path):
+    # d=N=60 has 61 * 59 trajectory values, which the dense oracle refused.
+    out = tmp_path / "oc"
+    code = run(
+        "oracle-check", "problem.name=example1i", "oracle.levels=20,60",
+        f"output_dir={out}",
+    )
+    assert code == 0
+    lines = (out / "oracle_check.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[2].split(",")[:2] == ["60", "60"]
 
 
 def test_oracle_check_below_threshold_exits_three(tmp_path, capsys):

@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from conftest import variable_coefficient_problem
+from oracle import dense_kkt_oracle, sparse_lu_march
 
-from varda import fem1d, forward, mesh
+from varda import fem1d, forward, mesh, problems
 
 RATE = np.pi * np.pi * 0.1
 
@@ -78,35 +78,48 @@ def test_oracle_perturbation_raises_the_objective(ex1i):
         assert objective(u + 1e-3 * v) > j_star
 
 
-def test_oracle_refuses_oversized_grids(ex1i):
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 100)
-    tg = mesh.build_uniform_time_grid(1.0, 100)
-    with pytest.raises(ValueError, match="cap"):
-        forward.kkt_oracle(ex1i, _space(ex1i, sm), tg)
+@pytest.fixture(scope="module")
+def unit_spaces(ex1i):
+    """The space of a = 0.1, a0 = 0 on (0, 1) with d cells, built once per d.
 
-
-def _sparse_lu_march(space, tgrid, source, start):
-    """Interior values of Crank-Nicolson stepped by sparse LU in nodal form.
-
-    The solver the modal march replaced, kept as its reference: every step
-    solves (M_I + dt/2 K_I) y = (M_I - dt/2 K_I) y_prev + dt (load_prev + load)/2
-    with one factorization per distinct step coefficient.
+    Every catalog problem at its default parameters has these coefficients.
     """
-    M, K = space.m_inner.tocsc(), space.k_inner.tocsc()
-    load = (space.M @ source.T).T[:, 1:-1]
-    solvers = {}
-    values = np.zeros((tgrid.N + 1, M.shape[0]))
-    y = values[0] = start
-    for j in range(tgrid.N):
-        dt = tgrid.deltas[j]
-        coef = 0.5 * dt
-        if coef not in solvers:
-            solvers[coef] = spla.factorized(M + coef * K)
-        rhs = M @ y - coef * (K @ y)
-        rhs += dt * (0.5 * load[j + 1] + 0.5 * load[j])
-        y = solvers[coef](rhs)
-        values[j + 1] = y
-    return values
+    cache = {}
+
+    def space(d):
+        if d not in cache:
+            cache[d] = _space(ex1i, mesh.build_spatial_mesh(0.0, 1.0, d))
+        return cache[d]
+
+    return space
+
+
+def _oracle_gap(spec, space, tg):
+    """Relative gap of the closed-form oracle to the dense brute force."""
+    u_ref = dense_kkt_oracle(spec, space, tg)
+    return np.linalg.norm(forward.kkt_oracle(spec, space, tg) - u_ref) / np.linalg.norm(u_ref)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+@pytest.mark.parametrize("name", problems.CATALOG)
+def test_closed_form_oracle_matches_the_dense_normal_equations(unit_spaces, name, n):
+    spec, _ = problems.build(name)
+    space = unit_spaces(n)
+    nodes = space.smesh.nodes
+    for coefficient in ("a", "a0"):
+        assert np.array_equal(getattr(spec, coefficient)(nodes), getattr(space, coefficient)(nodes))
+    assert _oracle_gap(spec, space, mesh.build_uniform_time_grid(1.0, n)) <= 1e-12
+
+
+def test_closed_form_oracle_matches_on_a_graded_grid():
+    # example3 at eps=0.05 on its first interval bisected 25 times: min dt 6e-9.
+    spec, _ = problems.example3(eps=0.05)
+    tg = mesh.build_uniform_time_grid(1.0, 5)
+    for _ in range(25):
+        tg = mesh.bisect_intervals(tg, {0})
+    assert tg.N == 30 and tg.deltas.min() < 6e-9
+    space = _space(spec, mesh.build_spatial_mesh(0.0, 1.0, 30))
+    assert _oracle_gap(spec, space, tg) <= 1e-12
 
 
 def _gap_to_sparse_lu(spec, sm, tg):
@@ -117,7 +130,7 @@ def _gap_to_sparse_lu(spec, sm, tg):
 
     y = forward.solve_state(spec, u0, tg, space)
     f_nodal = fem1d.sample(spec.f, tg.taus, sm.nodes)
-    y_ref = _sparse_lu_march(space, tg, f_nodal, u0[1:-1])
+    y_ref = sparse_lu_march(space, tg, f_nodal, u0[1:-1])
     assert np.array_equal(y.values[0], u0) and not np.any(y.values[:, [0, -1]])
     return np.linalg.norm(y.values[:, 1:-1] - y_ref) / np.linalg.norm(y_ref)
 
