@@ -49,7 +49,6 @@ __all__ = [
     "mark",
     "adapt_loop",
     "uniform_initial_errors",
-    "format_history_csv",
 ]
 
 _STRATEGIES = ("MAX", "DOERFLER")
@@ -147,11 +146,11 @@ class AdaptHistory:
 class _Integrand:
     """The indicator's integrand on one spatial mesh, reduced to moments in time.
 
-    moments reduces the samples of the data residual g = f - dt y_d - A y_d
-    on a batch of intervals to each one's (e, m), and eta_sq scores every
-    interval from those.  a'(x) and a0(x), which only -A q needs, are sampled
-    on first use and kept.  Overflow is left to ErrorIndicators, which
-    rejects the non-finite result.
+    sample takes the data residual g = f - dt y_d - A y_d on a batch of
+    intervals, moments reduces it to each one's (e, m), and eta_sq scores
+    every interval from those.  a'(x) and a0(x), which only -A q needs, are
+    sampled on first use and kept.  Overflow is left to ErrorIndicators,
+    which rejects the non-finite result.
     """
 
     def __init__(self, problem: ProblemSpec, smesh: SpatialMesh, quad_order: int) -> None:
@@ -190,6 +189,12 @@ class _Integrand:
                 return [(e_i, None) for e_i in e]
             return [(e_i, np.tensordot(np.stack((1.0 - lam_i, lam_i)) * w_i, g_i, 1))
                     for e_i, g_i, w_i, lam_i in zip(e, g, w, lam)]
+
+    def sample(self, keys, rows: bool = False) -> list[tuple[float, np.ndarray | None]]:
+        """The moments of the intervals keys, (t0, t1) each, from one data_residual call; m only with rows."""
+        t0, t1 = np.array(keys).T
+        t, w, lam = fem1d.time_quadrature(t0, t1 - t0, self.quad.order, panels=_TIME_PANELS)
+        return self.moments(self.problem.data_residual(t, self.quad.x), w, t1 - t0, lam if rows else None)
 
     def eta_sq(self, moments, dt: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
         """dt^2 times the integral of (g - A q)^2 over each interval, from its moments.
@@ -241,14 +246,8 @@ def compute_indicators(
         and np.array_equal(sol.q.smesh.nodes, smesh.nodes)
     ):
         raise ValueError("solution and indicator live on different grids")
-    integrand = _Integrand(problem, smesh, quad_order)
-    t, w_t, lam = fem1d.time_quadrature(tgrid.taus[:-1], tgrid.deltas, quad_order, panels=_TIME_PANELS)
-
-    # One interval at a time, so the sampled data never scale with N.
-    q, moments = (None if sol is None else sol.q.values), []
-    for i in range(tgrid.N):
-        g = problem.data_residual(t[i : i + 1], integrand.quad.x)
-        moments += integrand.moments(g, w_t[i : i + 1], tgrid.deltas[i : i + 1], None if q is None else lam[i : i + 1])
+    integrand, q = _Integrand(problem, smesh, quad_order), None if sol is None else sol.q.values
+    moments = integrand.sample(tgrid.intervals, rows=q is not None)
     return ErrorIndicators(per_interval=integrand.eta_sq(moments, tgrid.deltas, q))
 
 
@@ -376,9 +375,7 @@ def adapt_loop(
             # halves.  tgrid.N is the last cycle's N plus its marks.
             if previous is not None:
                 fresh += [key for key in _ahead(*previous, cfg.n_max - tgrid.N) if key not in cache]
-            t0, t1 = np.array(fresh).T
-            t, w_t, _ = fem1d.time_quadrature(t0, t1 - t0, quad_order, panels=_TIME_PANELS)
-            cache.update(zip(fresh, integrand.moments(problem.data_residual(t, integrand.quad.x), w_t, t1 - t0)))
+            cache.update(zip(fresh, integrand.sample(fresh)))
         tgrids.append(tgrid)
         ind = ErrorIndicators(per_interval=integrand.eta_sq([cache[key] for key in keys], tgrid.deltas))
         history.append(
@@ -426,12 +423,3 @@ def uniform_initial_errors(
     """
     grids = [build_uniform_time_grid(problem.T, int(n)) for n in counts]
     return np.asarray(_reference_solver(problem, smesh, n_reference, quad_order)(grids))
-
-
-def format_history_csv(history: AdaptHistory) -> str:
-    """CSV rows cycle,N,eta_total,true_error (empty when not recorded)."""
-    lines = ["cycle,N,eta_total,true_error"]
-    for rec in history.cycles:
-        err = "" if rec.true_error is None else f"{rec.true_error:.17g}"
-        lines.append(f"{rec.cycle},{rec.n_intervals},{rec.eta_total:.17g},{err}")
-    return "\n".join(lines) + "\n"

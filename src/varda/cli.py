@@ -91,8 +91,8 @@ class RunConfig:
     """One command's resolved settings.
 
     Problem parameters default to None, meaning the catalog entry's own
-    default; they are routed only to problems that accept them, so a stray
-    eps on example1i is rejected rather than silently dropped.
+    default; problems.build checks those that are set, so a stray eps on
+    example1i is rejected rather than silently dropped.
     """
 
     name: str = "example1i"
@@ -102,10 +102,10 @@ class RunConfig:
     m: float | None = None
     d: int = 40
     N: int = 40
-    strategy: str = "MAX"
-    adapt_theta: float = 0.5
-    n_initial: int = 5
-    n_max: int = 40
+    strategy: str = adaptivity.AdaptConfig.strategy
+    adapt_theta: float = adaptivity.AdaptConfig.theta_mark
+    n_initial: int = adaptivity.AdaptConfig.n_initial
+    n_max: int = adaptivity.AdaptConfig.n_max
     snapshots: bool = False
     record_reference: bool = False
     quad_order: int = 3
@@ -179,13 +179,6 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.name not in problems.CATALOG:
-        known = ", ".join(sorted(problems.CATALOG))
-        raise CliError(f"unknown problem {cfg.name!r}; known problems: {known}")
-    for field_name, label in (("alpha", "problem.alpha"), ("nu", "problem.nu"), ("eps", "problem.eps")):
-        value = getattr(cfg, field_name)
-        if value is not None and not value > 0.0:
-            raise CliError(f"{label} must be positive, got {value}")
     if cfg.d < 2:
         raise CliError(f"grid.d must be at least 2, got {cfg.d}")
     if cfg.N < 1:
@@ -194,19 +187,14 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError(f"quad_order must be 1, 2 or 3, got {cfg.quad_order}")
     if len(cfg.levels) < 2 or any(n < 2 for n in cfg.levels):
         raise CliError(f"oracle.levels must list at least two integers >= 2, got {cfg.levels}")
-    allowed = problems.CATALOG[cfg.name]
-    for param in ("alpha", "nu", "eps", "m"):
-        if getattr(cfg, param) is not None and param not in allowed:
-            raise CliError(f"problem {cfg.name!r} does not take problem.{param}")
+    if any(a >= b for a, b in zip(cfg.levels, cfg.levels[1:])):
+        raise CliError(f"oracle.levels must increase, got {cfg.levels}")
 
 
 def resolve_problem(cfg: RunConfig):
-    """Instantiate the configured problem; returns (spec, exact_p or None)."""
-    kwargs = {
-        param: getattr(cfg, param)
-        for param in problems.CATALOG[cfg.name]
-        if getattr(cfg, param) is not None
-    }
+    """(spec, exact_p or None) of the configured problem, from problems.build: the one check of the problem.* keys."""
+    values = {attr: getattr(cfg, attr) for key, (attr, _) in _KEYS.items() if key.startswith("problem.")}
+    kwargs = {attr: value for attr, value in values.items() if attr != "name" and value is not None}
     try:
         return problems.build(cfg.name, **kwargs)
     except ValueError as exc:
@@ -390,6 +378,15 @@ class FieldCsv:
             yield rows[rows != 0].tobytes()
 
 
+def format_history_csv(history: adaptivity.AdaptHistory) -> str:
+    """CSV rows cycle,N,eta_total,true_error (empty when not recorded)."""
+    lines = ["cycle,N,eta_total,true_error"]
+    for rec in history.cycles:
+        err = "" if rec.true_error is None else _fmt(rec.true_error)
+        lines.append(f"{rec.cycle},{rec.n_intervals},{_fmt(rec.eta_total)},{err}")
+    return "\n".join(lines) + "\n"
+
+
 def _write_nodes(path: Path, nodes: np.ndarray) -> None:
     _atomic_write(path, "".join(_fmt(v) + "\n" for v in nodes))
 
@@ -404,10 +401,6 @@ def _comparison_csv(rows: list[tuple[str, float | None, float]]) -> str:
             rel = (computed - target) / target
             lines.append(f"{setting},{_fmt(target)},{_fmt(computed)},{_fmt(rel)}")
     return "\n".join(lines) + "\n"
-
-
-def _resolved_nu(cfg: RunConfig) -> float:
-    return 0.1 if cfg.nu is None else cfg.nu
 
 
 def _build_space(spec, d: int, cfg: RunConfig) -> fem1d.SpatialOperatorMatrices:
@@ -444,7 +437,7 @@ def cmd_assimilate(cfg: RunConfig) -> int:
         [
             f"rmse={_fmt(result.rmse)}",
             f"alpha={_fmt(result.alpha)}",
-            f"nu={_fmt(_resolved_nu(cfg))}",
+            f"nu={_fmt(problems.parameters(cfg.name)['nu'] if cfg.nu is None else cfg.nu)}",
             f"d={cfg.d}",
             f"N={cfg.N}",
             f"solver_residual={_fmt(result.solver_residual)}",
@@ -468,7 +461,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
     smesh = mesh.build_spatial_mesh(*spec.domain, cfg.d)
     tgrid, history = adaptivity.adapt_loop(spec, smesh, acfg, quad_order=cfg.quad_order)
     out = _prepare_output_dir(cfg)
-    _atomic_write(out / "history.csv", adaptivity.format_history_csv(history))
+    _atomic_write(out / "history.csv", format_history_csv(history))
     _write_nodes(out / "grid.txt", tgrid.taus)
     if cfg.snapshots:
         for rec in history.cycles:
@@ -539,16 +532,12 @@ def _reproduce_example3(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_reproduce(target: str, cfg: RunConfig) -> int:
-    out = _prepare_output_dir(cfg)
-    if target == "table1":
-        path = _reproduce_table1(cfg, out)
-    elif target == "example2":
-        path = _reproduce_example2(cfg, out)
-    elif target == "example3":
-        path = _reproduce_example3(cfg, out)
-    else:
+    runs = {"table1": _reproduce_table1, "example2": _reproduce_example2, "example3": _reproduce_example3}
+    if target not in runs:
         raise CliError(f"unknown reproduce target {target!r}; pick table1, example2 or example3")
-    print(f"wrote {path}")
+    # Resolved only to check the problem.* keys: each target builds its own problems and drops some.
+    resolve_problem(cfg)
+    print(f"wrote {runs[target](cfg, _prepare_output_dir(cfg))}")
     return EXIT_OK
 
 

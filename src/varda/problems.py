@@ -18,7 +18,9 @@ nu and zero reaction:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,17 +38,9 @@ __all__ = [
     "bump_sigma_dt",
     "bump_sigma_dtt",
     "build",
+    "parameters",
     "CATALOG",
 ]
-
-# Problem name -> the keyword parameters build passes on to its constructor.
-CATALOG = {
-    "example1i": ("alpha", "nu"),
-    "example1ii": ("alpha", "nu"),
-    "example2": ("alpha", "nu", "eps"),
-    "example3": ("alpha", "nu", "eps", "m"),
-    "consistent": ("alpha", "nu"),
-}
 
 
 def _require_positive(**params: float) -> None:
@@ -293,20 +287,31 @@ def consistent_problem(alpha: float = 0.01, nu: float = 0.1) -> ProblemSpec:
     return replace(example1("i", alpha=alpha, nu=nu), y_b=y_b)
 
 
-def build(name: str, **params) -> tuple[ProblemSpec, Callable | None]:
-    """Construct a catalog problem by CLI name.
+# Problem name -> its constructor; a name's parameters are its constructor's keywords.
+CATALOG = {
+    "example1i": partial(example1, "i"),
+    "example1ii": partial(example1, "ii"),
+    "example2": example2,
+    "example3": example3,
+    "consistent": consistent_problem,
+}
 
-    Returns the problem and, when one exists, the exact adjoint closure.
-    Parameters outside the name's CATALOG entry raise TypeError.
+
+def parameters(name: str) -> dict[str, float]:
+    """The keyword parameters of name's constructor, with their defaults."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown problem {name!r}, known: {', '.join(CATALOG)}")
+    return {p.name: p.default for p in inspect.signature(CATALOG[name]).parameters.values()}
+
+
+def build(name: str, **params) -> tuple[ProblemSpec, Callable | None]:
+    """Construct a catalog problem by CLI name; returns it and its exact adjoint closure, or None.
+
+    ValueError names an unknown name, or the first in sorted order of the parameters its
+    constructor does not take.  The constructors and ProblemSpec check the values.
     """
-    if name == "example1i":
-        return example1("i", **params), None
-    if name == "example1ii":
-        return example1("ii", **params), None
-    if name == "example2":
-        return example2(**params), None
-    if name == "example3":
-        return example3(**params)
-    if name == "consistent":
-        return consistent_problem(**params), None
-    raise ValueError(f"unknown problem {name!r}, known: {', '.join(CATALOG)}")
+    extra = sorted(set(params) - set(parameters(name)))
+    if extra:
+        raise ValueError(f"problem {name!r} does not take problem.{extra[0]}")
+    made = CATALOG[name](**params)
+    return made if isinstance(made, tuple) else (made, None)

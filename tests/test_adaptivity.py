@@ -422,18 +422,6 @@ def test_the_lane_budget_changes_no_bit(monkeypatch, problem, d, strategy):
     assert [rec.uniform_error for rec in cycles] == gaps[:1] + gaps[len(cycles) :]
 
 
-def test_history_csv_shape():
-    spec = problems.example2()
-    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
-    _, history = adaptivity.adapt_loop(spec, sm, AdaptConfig(n_initial=4, n_max=6))
-    text = adaptivity.format_history_csv(history)
-    lines = text.strip().splitlines()
-    assert lines[0] == "cycle,N,eta_total,true_error"
-    assert len(lines) == len(history.cycles) + 1
-    # Without reference recording the error column stays empty.
-    assert all(line.endswith(",") for line in lines[1:])
-
-
 def _fresh_loop(problem, smesh, cfg):
     """The adapt loop without a cache: every cycle scores every interval anew, from the data alone."""
     tgrid = mesh.build_uniform_time_grid(problem.T, cfg.n_initial)

@@ -33,12 +33,47 @@ def test_build_config_rejects_unknown_keys_and_bad_values():
             cli.build_config(unknown)
     with pytest.raises(cli.CliError, match="bad value"):
         cli.build_config({"grid.N": "eight"})
+    # The problem.* values are checked once, through the catalog, when the problem is resolved.
     with pytest.raises(cli.CliError, match="positive"):
-        cli.build_config({"problem.alpha": "-2"})
+        cli.resolve_problem(cli.build_config({"problem.alpha": "-2"}))
     with pytest.raises(cli.CliError, match="does not take"):
-        cli.build_config({"problem.name": "example1i", "problem.eps": "0.1"})
+        cli.resolve_problem(cli.build_config({"problem.name": "example1i", "problem.eps": "0.1"}))
     cfg = cli.build_config({"problem.name": "example3", "problem.m": "0.5"})
     assert cfg.m == 0.5
+    assert cli.resolve_problem(cfg)[1] is not None
+
+
+def test_every_catalog_parameter_has_a_problem_key():
+    # resolve_problem passes each problem.* key on under its RunConfig attribute.
+    keys = {key: attr for key, (attr, _) in cli._KEYS.items() if key.startswith("problem.")}
+    assert keys.pop("problem.name") == "name"
+    assert all(key == f"problem.{attr}" for key, attr in keys.items())
+    taken = set().union(*(problems.parameters(name) for name in problems.CATALOG))
+    assert set(keys.values()) == taken
+
+
+def test_summary_nu_is_the_set_value_or_the_constructors_default(tmp_path):
+    for name, extra, nu in (
+        ("example1i", (), "0.10000000000000001"),
+        ("example3", (), "0.10000000000000001"),
+        ("example1i", ("problem.nu=0.2",), "0.20000000000000001"),
+    ):
+        out = tmp_path / f"{name}{len(extra)}"
+        assert run("assimilate", f"problem.name={name}", "grid.d=4", "grid.N=4", *extra, f"output_dir={out}") == 0
+        assert f"\nnu={nu}\n" in (out / "summary.txt").read_text()
+    assert problems.parameters("example1i")["nu"] == 0.1
+
+
+def test_history_csv_shape():
+    spec = problems.example2()
+    sm = mesh.build_spatial_mesh(0.0, 1.0, 8)
+    _, history = adaptivity.adapt_loop(spec, sm, adaptivity.AdaptConfig(n_initial=4, n_max=6))
+    text = cli.format_history_csv(history)
+    lines = text.strip().splitlines()
+    assert lines[0] == "cycle,N,eta_total,true_error"
+    assert len(lines) == len(history.cycles) + 1
+    # Without reference recording the error column stays empty.
+    assert all(line.endswith(",") for line in lines[1:])
 
 
 def test_readme_lists_exactly_the_config_keys():
@@ -296,6 +331,12 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
          "adapt.record_reference=true", f"output_dir={tmp_path / 'load'}"),
         # The output directory is an existing file.
         ("assimilate", "grid.d=4", "grid.N=4", "--output-dir", str(tmp_path / "a_file")),
+        # Each reproduce target builds its own problems, yet the configured one is checked.
+        ("reproduce", "table1", "problem.alpha=-1", f"output_dir={tmp_path / 'rep'}"),
+        ("reproduce", "example3", "problem.nu=-1", f"output_dir={tmp_path / 'rep'}"),
+        # Levels that do not increase have no convergence order to observe.
+        ("oracle-check", "oracle.levels=20,20", f"output_dir={tmp_path / 'oc'}"),
+        ("oracle-check", "oracle.levels=40,20,10", f"output_dir={tmp_path / 'oc'}"),
     ]
     for argv in cases:
         assert run(*argv) == 1, argv
@@ -303,13 +344,19 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
     assert not (tmp_path / "nan" / "summary.txt").exists()
     assert not (tmp_path / "overflow" / "history.csv").exists()
     assert not (tmp_path / "load").exists()
+    assert not (tmp_path / "rep").exists() and not (tmp_path / "oc").exists()
     assert (tmp_path / "a_file").read_text() == "kept\n"
     # Messages name the config key or the parameter that was set.
     named = [
         (("adapt", "adapt.strategy=DOERFLER", "adapt.theta=1.0"),
          "error: adapt.theta must lie in (0, 1), got 1.0\n"),
+        # One message per parameter, whatever its bad value.
         (("assimilate", "problem.name=example2", "problem.nu=inf"),
          "error: nu must be finite and positive, got inf\n"),
+        (("assimilate", "problem.name=example2", "problem.nu=-1"),
+         "error: nu must be finite and positive, got -1.0\n"),
+        (("assimilate", "problem.name=example1i", "problem.m=0.5", "problem.eps=0.1"),
+         "error: problem 'example1i' does not take problem.eps\n"),
         # One level has no convergence order to observe.
         (("oracle-check", "oracle.levels=10"),
          "error: oracle.levels must list at least two integers >= 2, got (10,)\n"),
@@ -367,10 +414,13 @@ def test_oracle_check_runs_above_the_old_dense_size(tmp_path):
     assert lines[2].split(",")[:2] == ["60", "60"]
 
 
-def test_oracle_check_below_threshold_exits_three(tmp_path, capsys):
+def test_oracle_check_below_threshold_exits_three(tmp_path, monkeypatch, capsys):
+    # An oracle 1% off leaves a control difference that stops shrinking with the levels.
+    exact = forward.kkt_oracle
+    monkeypatch.setattr(forward, "kkt_oracle", lambda *args: 1.01 * exact(*args))
     out = tmp_path / "oc"
     code = run(
-        "oracle-check", "problem.name=example1i", "oracle.levels=40,20,10",
+        "oracle-check", "problem.name=example1i", "oracle.levels=10,20,40",
         f"output_dir={out}",
     )
     assert code == 3

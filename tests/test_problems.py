@@ -259,14 +259,17 @@ def test_consistent_problem_is_example1i_with_another_guess():
 
 def test_build_routes_names_and_rejects_unknown_ones():
     assert list(problems.CATALOG) == ["example1i", "example1ii", "example2", "example3", "consistent"]
+    # A name's parameters are its constructor's keywords, with their defaults.
+    assert problems.parameters("example1ii") == {"alpha": 0.01, "nu": 0.1}
+    assert problems.parameters("example3") == {"alpha": 1.0, "nu": 0.1, "m": 0.5, "eps": 0.5}
     # Valid for every problem, so the constructor must accept whatever its
-    # table entry lists.
+    # signature lists.
     values = {"alpha": 0.5, "nu": 0.1, "eps": 0.25, "m": 0.5}
-    for name, params in problems.CATALOG.items():
+    for name in problems.CATALOG:
         spec, exact = problems.build(name)
         assert spec.T == 1.0
         assert (exact is not None) == (name == "example3")
-        spec, _ = problems.build(name, **{p: values[p] for p in params})
+        spec, _ = problems.build(name, **{p: values[p] for p in problems.parameters(name)})
         assert spec.alpha == 0.5
     consistent, _ = problems.build("consistent")
     xs = np.linspace(0.0, 1.0, 5)
@@ -275,15 +278,20 @@ def test_build_routes_names_and_rejects_unknown_ones():
     assert spec.alpha == 0.01
     with pytest.raises(ValueError, match="example1i"):
         problems.build("example9")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="example9"):
+        problems.parameters("example9")
+    with pytest.raises(ValueError, match=r"^problem 'example1i' does not take problem\.eps$"):
         problems.build("example1i", eps=0.3)
+    # Of several, the first in sorted order is named.
+    with pytest.raises(ValueError, match=r"^problem 'example2' does not take problem\.beta$"):
+        problems.build("example2", m=0.5, beta=1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.1])
 def test_problem_parameters_must_be_finite_and_positive(value):
-    for name, params in problems.CATALOG.items():
+    for name in problems.CATALOG:
         for param in ("nu", "eps"):
-            if param in params:
+            if param in problems.parameters(name):
                 with pytest.raises(ValueError, match=f"^{param} must be finite and positive"):
                     problems.build(name, **{param: value})
 
