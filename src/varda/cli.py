@@ -532,12 +532,23 @@ def _reproduce_example3(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_reproduce(target: str, cfg: RunConfig) -> int:
-    runs = {"table1": _reproduce_table1, "example2": _reproduce_example2, "example3": _reproduce_example3}
+    # Each target runs its own problem (table1 example1ii too) and applies only the parameters listed.
+    runs = {
+        "table1": (_reproduce_table1, "example1i", ("nu",)),
+        "example2": (_reproduce_example2, "example2", ("alpha", "nu", "eps")),
+        "example3": (_reproduce_example3, "example3", ()),
+    }
     if target not in runs:
         raise CliError(f"unknown reproduce target {target!r}; pick table1, example2 or example3")
-    # Resolved only to check the problem.* keys: each target builds its own problems and drops some.
-    resolve_problem(cfg)
-    print(f"wrote {runs[target](cfg, _prepare_output_dir(cfg))}")
+    run, name, applied = runs[target]
+    # A problem.* key is dropped unless it is unset, the default or the target's own name, or applied.
+    dropped = [key for key, (attr, _) in _KEYS.items() if key.startswith("problem.") and attr not in applied
+               and getattr(cfg, attr) not in (None, RunConfig.name, name)]
+    if dropped:
+        raise CliError(f"reproduce {target} does not apply {', '.join(dropped)}")
+    # Checked before the output directory is made: the target resolves the same keys again.
+    resolve_problem(replace(cfg, name=name))
+    print(f"wrote {run(cfg, _prepare_output_dir(cfg))}")
     return EXIT_OK
 
 

@@ -326,6 +326,35 @@ def tridiag_solve(d: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
 def eigenbasis(m_band: tuple[np.ndarray, np.ndarray], k_band: tuple[np.ndarray, np.ndarray]):
     """(lam, V) with K V = M V diag(lam) and V^T M V = I, ascending lam, for tridiagonal SPD M.
 
+    When all four bands are constant, as on a uniform mesh with constant a
+    and a0, M and K are symmetric Toeplitz and share the discrete sine
+    vectors (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): with
+    d - 1 rows, mode k = 1..d-1 has theta = k pi / d, mu = m_d + 2 m_o cos theta,
+    lam = (k_d + 2 k_o cos theta) / mu and V_jk = sqrt(2 / (d mu)) sin(j k pi / d),
+    each lam to a few ulps.  Any other pencil goes through _reduced_eigenbasis.
+    Raises LinAlgError unless M is positive definite.
+    """
+    if not all((band == band[:1]).all() for band in (*m_band, *k_band)):
+        return _reduced_eigenbasis(m_band, k_band)
+    d = len(m_band[0]) + 1
+    # d = 2 leaves one row and empty off bands.
+    (m_d, m_o), (k_d, k_o) = ((diag[0], off[0] if d > 2 else 0.0) for diag, off in (m_band, k_band))
+    # c + 2 o cos(theta) as (c + 2 o) - 4 o sin^2(theta / 2), free of the cancellation in 1 - cos(theta).
+    sin2 = np.sin(np.arange(1, d) * (0.5 * np.pi / d)) ** 2
+    mu = (m_d + 2.0 * m_o) - 4.0 * m_o * sin2
+    if not (mu > 0.0).all():
+        raise np.linalg.LinAlgError(f"matrix is not positive definite: eigenvalue {mu.min()}")
+    lam = ((k_d + 2.0 * k_o) - 4.0 * k_o * sin2) / mu
+    order = np.argsort(lam, kind="stable")
+    # sin(pi m / d) for m < 2d, read at j k mod 2d: every argument stays below 2 pi.
+    sines = np.sin(np.arange(2 * d) * (np.pi / d))
+    V = sines[np.outer(np.arange(1, d), order + 1) % (2 * d)] * np.sqrt(2.0 / (d * mu[order]))
+    return lam[order], V
+
+
+def _reduced_eigenbasis(m_band: tuple[np.ndarray, np.ndarray], k_band: tuple[np.ndarray, np.ndarray]):
+    """eigenbasis for any tridiagonal SPD M and symmetric tridiagonal K, each lam exact to about eps * max(lam).
+
     Reduces the symmetric-definite pencil by M's Cholesky factor
     L = L_1 D^(1/2) (Golub & Van Loan, 8.7): W diagonalizes the symmetrized
     L^-1 K L^-T, and V = L^-T W.  Raises LinAlgError unless M is positive

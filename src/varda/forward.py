@@ -14,9 +14,12 @@ the source, a step over an interval dt is one division per mode:
 
     z(j+1) = ((1 - dt lam/2) z(j) + dt (g(j+1) + g(j))/2) / (1 + dt lam/2).
 
-Each eigenvalue is exact only to about eps * max(lam), an error the slow
-modes would compound step after step, so the march re-marches its nodal
-residual once: one step of iterative refinement.
+On variable coefficients, where fem1d.eigenbasis takes its Cholesky-eigh
+reduction, each eigenvalue is exact only to about eps * max(lam), an error
+the slow modes would compound step after step, so the march re-marches its
+nodal residual once: one step of iterative refinement.  The closed-form
+sine modes of a constant-coefficient space are exact to a few ulps, and
+the step changes little there.
 
 In that basis the source-free march is diagonal, and so are the oracle's
 normal equations (Lynch, Rice & Thomas, Numer. Math. 6, 1964, applied to

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varda import assimilation, mesh, problems
+from varda import assimilation, fem1d, mesh, problems
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +97,32 @@ def _mask(smesh):
     m = np.ones(smesh.d + 1)
     m[0] = m[-1] = 0.0
     return m
+
+
+def _graded_grid():
+    tgrid = mesh.build_uniform_time_grid(1.0, 20)
+    for _ in range(6):
+        tgrid = mesh.bisect_intervals(tgrid, [0])
+    return tgrid
+
+
+@pytest.mark.parametrize("name", list(problems.CATALOG))
+@pytest.mark.parametrize(
+    "d, tgrid",
+    [(2, mesh.build_uniform_time_grid(1.0, 3)), (3, mesh.build_uniform_time_grid(1.0, 7)),
+     (10, mesh.build_uniform_time_grid(1.0, 10)), (40, mesh.build_uniform_time_grid(1.0, 40)),
+     (40, _graded_grid()), (200, mesh.build_uniform_time_grid(1.0, 20))],
+    ids=["2x3", "3x7", "10x10", "40x40", "40xgraded", "200x20"],
+)
+def test_the_sine_basis_and_the_reduction_give_the_same_control(name, d, tgrid, monkeypatch):
+    # Catalog spaces get the closed-form sine basis; the Cholesky-eigh reduction is the reference.
+    spec, _ = problems.build(name)
+    smesh = mesh.build_spatial_mesh(*spec.domain, d)
+    sine = assimilation.assimilate(spec, smesh, tgrid)
+    monkeypatch.setattr(fem1d, "eigenbasis", fem1d._reduced_eigenbasis)
+    reduced = assimilation.assimilate(spec, smesh, tgrid)
+    u_scale = np.abs(reduced.u).max()
+    assert np.abs(sine.u - reduced.u).max() <= 1e-10 * u_scale
+    # p(0) = alpha (y_b - u) on the interior, so it is measured on alpha's scale of u where it vanishes.
+    p0, p0_ref = sine.p.values[0], reduced.p.values[0]
+    assert np.abs(p0 - p0_ref).max() <= 1e-10 * max(np.abs(p0_ref).max(), spec.alpha * u_scale)

@@ -331,9 +331,13 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
          "adapt.record_reference=true", f"output_dir={tmp_path / 'load'}"),
         # The output directory is an existing file.
         ("assimilate", "grid.d=4", "grid.N=4", "--output-dir", str(tmp_path / "a_file")),
-        # Each reproduce target builds its own problems, yet the configured one is checked.
+        # Each reproduce target builds its own problems and refuses a key it would drop.
         ("reproduce", "table1", "problem.alpha=-1", f"output_dir={tmp_path / 'rep'}"),
         ("reproduce", "example3", "problem.nu=-1", f"output_dir={tmp_path / 'rep'}"),
+        ("reproduce", "table1", "problem.alpha=0.3", f"output_dir={tmp_path / 'rep'}"),
+        ("reproduce", "example3", "problem.nu=0.2", f"output_dir={tmp_path / 'rep'}"),
+        ("reproduce", "table1", "problem.nu=-1", f"output_dir={tmp_path / 'rep'}"),
+        ("reproduce", "example2", "problem.name=example9", f"output_dir={tmp_path / 'rep'}"),
         # Levels that do not increase have no convergence order to observe.
         ("oracle-check", "oracle.levels=20,20", f"output_dir={tmp_path / 'oc'}"),
         ("oracle-check", "oracle.levels=40,20,10", f"output_dir={tmp_path / 'oc'}"),
@@ -357,6 +361,11 @@ def test_validation_failures_exit_with_code_one(tmp_path, capsys):
          "error: nu must be finite and positive, got -1.0\n"),
         (("assimilate", "problem.name=example1i", "problem.m=0.5", "problem.eps=0.1"),
          "error: problem 'example1i' does not take problem.eps\n"),
+        (("reproduce", "example3", "problem.nu=0.2"), "error: reproduce example3 does not apply problem.nu\n"),
+        (("reproduce", "table1", "problem.alpha=0.3", "problem.eps=0.1"),
+         "error: reproduce table1 does not apply problem.alpha, problem.eps\n"),
+        (("reproduce", "example2", "problem.name=example3", "problem.m=0.4"),
+         "error: reproduce example2 does not apply problem.name, problem.m\n"),
         # One level has no convergence order to observe.
         (("oracle-check", "oracle.levels=10"),
          "error: oracle.levels must list at least two integers >= 2, got (10,)\n"),
@@ -525,6 +534,16 @@ def test_reproduce_example2_rows(tmp_path):
     rmse_after, e_max_after = lines[2].split(","), lines[4].split(",")
     assert abs(float(rmse_after[3])) <= 0.15
     assert abs(float(e_max_after[3])) <= 0.20
+
+
+def test_reproduce_example2_applies_eps_without_a_problem_name(tmp_path):
+    # The target's own problem takes the keys, whatever problem.name defaults to.
+    out = tmp_path / "rep"
+    assert run("reproduce", "example2", "problem.eps=0.02", "grid.d=10", "grid.N=10", f"output_dir={out}") == 0
+    rmse_after = float((out / "example2.csv").read_text().splitlines()[2].split(",")[2])
+    spec = problems.example2(alpha=0.6, eps=0.02)
+    smesh, tgrid = mesh.build_spatial_mesh(0.0, 1.0, 10), mesh.build_uniform_time_grid(1.0, 10)
+    assert rmse_after == pytest.approx(assimilation.assimilate(spec, smesh, tgrid).rmse, rel=1e-12)
 
 
 def test_reproduce_example2_honours_an_explicit_alpha(tmp_path):

@@ -368,8 +368,8 @@ def test_data_load_puts_each_interval_on_its_own_time_hats():
     np.testing.assert_allclose(elliptic._data_loads(spec, space, [tg])[0], expected, rtol=1e-13, atol=0.0)
 
 
-def _graded_towards_zero(bisections):
-    tgrid = mesh.build_uniform_time_grid(1.0, 20)
+def _graded_towards_zero(bisections, intervals=20):
+    tgrid = mesh.build_uniform_time_grid(1.0, intervals)
     for _ in range(bisections):
         tgrid = mesh.bisect_intervals(tgrid, [0])
     return tgrid
@@ -385,11 +385,11 @@ def _solved_once(system):
 
 
 def test_residual_contract_holds_after_refinement_on_a_graded_grid():
-    # Min dt 3.8e-7 at d=40: one direct solve alone reaches 1.985e-10 (at one
+    # Min dt 8.3e-8 at d=40: one direct solve alone reaches 1.65e-10 (at one
     # and at two BLAS threads), so the 1e-10 contract needs the refinement
-    # step, which brings it to 9.2e-11.
+    # step, which brings it to 6.5e-11.
     spec, _ = problems.example3(eps=0.05)
-    system = elliptic.assemble(spec, mesh.build_spatial_mesh(0.0, 1.0, 40), _graded_towards_zero(17))
+    system = elliptic.assemble(spec, mesh.build_spatial_mesh(0.0, 1.0, 40), _graded_towards_zero(19, 23))
     assert _solved_once(system)[1] > 1e-10
     assert elliptic.solve_sparse(system).solver_residual <= 1e-10
 
@@ -412,7 +412,7 @@ def test_a_batch_refines_only_the_system_that_misses():
     spec, _ = problems.example3(eps=0.05)
     sm = mesh.build_spatial_mesh(0.0, 1.0, 40)
     space = fem1d.assemble_spatial_matrices(sm, spec.a, spec.a0)
-    grids = [mesh.build_uniform_time_grid(1.0, 20), _graded_towards_zero(17), _graded_towards_zero(6)]
+    grids = [mesh.build_uniform_time_grid(1.0, 20), _graded_towards_zero(19, 23), _graded_towards_zero(6)]
     systems = elliptic.assemble_batch(spec, space, grids)
     assert [_solved_once(system)[1] <= 1e-10 for system in systems] == [True, False, True]
     for system, batched in zip(systems, elliptic.solve_batch(systems)):
@@ -423,7 +423,7 @@ def test_a_batch_refines_only_the_system_that_misses():
 
 
 def test_residual_contract_fails_loudly_below_its_known_limit():
-    # Min dt 4.8e-8: about 9e-10 even after refinement, which must raise
+    # Min dt 4.8e-8: about 1.1e-9 even after refinement, which must raise
     # rather than pass under a looser contract.
     spec, _ = problems.example3(eps=0.05)
     sm = mesh.build_spatial_mesh(0.0, 1.0, 120)

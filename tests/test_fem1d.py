@@ -348,16 +348,95 @@ def test_ldlt_kernel_names_the_first_bad_pivot_among_many_lanes():
             fem1d.eigenbasis((np.array([2.0, 2.0, 0.5, 2.0]), np.array([0.5, 1.0, 0.5])), (np.ones(4), np.zeros(3)))
 
 
-@pytest.mark.parametrize("spec", [problems.example2(), variable_coefficient_problem()], ids=["constant", "variable"])
-@pytest.mark.parametrize("d", [2, 3, 40, 200])
-def test_eigenbasis_diagonalizes_the_pencil(spec, d):
-    space = fem1d.assemble_spatial_matrices(mesh.build_spatial_mesh(0.0, 1.0, d), spec.a, spec.a0)
+# (a, a0) pairs: example2's constant diffusion, one with a constant reaction too, and variable ones.
+_COEFFICIENTS = {
+    "constant": (problems.example2().a, problems.example2().a0),
+    "reaction": (lambda x: 0.1, lambda x: 2.0),
+    "variable": (variable_coefficient_problem().a, variable_coefficient_problem().a0),
+}
+
+
+def _space(coefficients, d):
+    return fem1d.assemble_spatial_matrices(mesh.build_spatial_mesh(0.0, 1.0, d), *_COEFFICIENTS[coefficients])
+
+
+@pytest.mark.parametrize("coefficients", list(_COEFFICIENTS))
+@pytest.mark.parametrize("d", [2, 3, 40, 200, 400])
+def test_eigenbasis_diagonalizes_the_pencil(coefficients, d):
+    space = _space(coefficients, d)
     lam, V = space.modes
     m_i, k_i = (fem1d.tridiag_dense(*bands) for bands in space.inner_bands)
     assert np.all(np.diff(lam) >= 0.0) and lam[0] > 0.0
     assert np.abs(V.T @ m_i @ V - np.eye(d - 1)).max() <= 1e-13
     scale = np.abs(k_i).max() * np.abs(V).max()
     assert np.abs(k_i @ V - m_i @ V * lam).max() <= 1e-13 * scale
+
+
+def _agrees_with_the_reduction(m_band, k_band):
+    """The closed form's (lam, V) against _reduced_eigenbasis's: lam to eigh's error, and each mode up to sign."""
+    lam, V = fem1d.eigenbasis(m_band, k_band)
+    lam_ref, V_ref = fem1d._reduced_eigenbasis(m_band, k_band)
+    assert np.abs(lam - lam_ref).max() <= 1e-14 * np.abs(lam_ref).max()
+    # V^T M V_ref is diagonal up to signs when the modes span the same lines.
+    m = fem1d.tridiag_dense(*m_band)
+    assert np.abs(np.abs(V.T @ m @ V_ref) - np.eye(len(lam))).max() <= 1e-11
+    return lam, V, lam_ref, V_ref
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "reaction"])
+@pytest.mark.parametrize("d", [2, 3, 40, 200, 400])
+def test_constant_bands_get_the_sine_basis_of_the_reduction(coefficients, d, monkeypatch):
+    space = _space(coefficients, d)
+    # The sine basis calls no reduction.
+    monkeypatch.setattr(fem1d, "_reduced_eigenbasis", None)
+    lam, V = space.modes
+    monkeypatch.undo()
+    _, _, lam_ref, V_ref = _agrees_with_the_reduction(*space.inner_bands)
+    # The closed form's pencil residual is no larger than the reduction's, or a few ulps on a few rows.
+    m_i, k_i = (fem1d.tridiag_dense(*bands) for bands in space.inner_bands)
+    residual, residual_ref = (np.abs(k_i @ W - m_i @ W * mu).max() for mu, W in ((lam, V), (lam_ref, V_ref)))
+    assert residual <= (residual_ref if d >= 40 else 8 * np.finfo(float).eps * np.abs(k_i).max())
+
+
+@pytest.mark.parametrize(
+    "m_band, k_band",
+    [
+        # lam falls as k rises, so the sort reverses the modes.
+        ((np.full(6, 4.0), np.full(5, -1.0)), (np.full(6, 3.0), np.full(5, 0.0))),
+        ((np.ones(9), np.zeros(8)), (np.full(9, 2.0), np.full(8, 0.9))),
+        # One row: empty off bands.
+        ((np.array([0.5]), np.array([])), (np.array([3.0]), np.array([]))),
+    ],
+    ids=["falling", "identity-mass", "one-row"],
+)
+def test_toeplitz_bands_agree_with_the_reduction(m_band, k_band):
+    lam, *_ = _agrees_with_the_reduction(m_band, k_band)
+    assert np.all(np.diff(lam) >= 0.0)
+
+
+def test_toeplitz_bands_with_one_eigenvalue_give_an_m_orthonormal_basis():
+    # K = 2 M: every line is a mode, so only lam and V^T M V = I are pinned.
+    m_band = (np.full(6, 4.0), np.full(5, 1.0))
+    lam, V = fem1d.eigenbasis(m_band, (2.0 * m_band[0], 2.0 * m_band[1]))
+    assert np.all(lam == 2.0)
+    assert np.abs(V.T @ fem1d.tridiag_dense(*m_band) @ V - np.eye(6)).max() <= 1e-14
+
+
+def test_a_toeplitz_mass_that_is_not_positive_definite_raises():
+    # 1 + 1.2 cos(theta) < 0 for the modes with theta near pi.
+    for m_band in ((np.ones(5), np.full(4, 0.6)), (np.array([-1.0]), np.array([]))):
+        k_band = (np.ones(len(m_band[0])), np.zeros(len(m_band[1])))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            fem1d.eigenbasis(m_band, k_band)
+
+
+@pytest.mark.parametrize("d", [3, 40])
+def test_variable_coefficients_take_the_reduction(d):
+    # M is Toeplitz on a uniform mesh, K is not: the pencil goes through the reduction, bit for bit.
+    space = _space("variable", d)
+    lam, V = space.modes
+    lam_ref, V_ref = fem1d._reduced_eigenbasis(*space.inner_bands)
+    assert lam.tobytes() == lam_ref.tobytes() and V.tobytes() == V_ref.tobytes()
 
 
 def test_eigenbasis_refuses_a_mass_that_is_not_positive_definite():
